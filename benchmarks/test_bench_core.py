@@ -36,16 +36,22 @@ Scale knobs (environment variables):
     Horizon per fleet run (default 100,000).
 ``REPRO_BENCH_REPLAY_REPS``
     Replay repetitions per engine; best-of wins (default 2).
+``REPRO_BENCH_EMIT``
+    Set to ``1`` to write the record file (see ``conftest.write_record``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 import pytest
-from conftest import capture_cluster_calls, capture_fleet_calls, replay_calls
+from conftest import (
+    capture_cluster_calls,
+    capture_fleet_calls,
+    replay_calls,
+    write_record,
+)
 
 from repro.fleet import FleetScenario
 from repro.workload.scenario import Scenario
@@ -250,8 +256,6 @@ def test_bench_fleet_probe_throughput(benchmark, engine_report, policy):
         "calls": len(calls),
         "routed_tasks": routed,
         "reject_ratio": fleet_output.reject_ratio,
-        "probe_cache_hits": fleet_output.probe_cache_hits,
-        "probe_cache_misses": fleet_output.probe_cache_misses,
         "decisions_per_sec": {
             engine: len(calls) / seconds[engine] for engine in ENGINES
         },
@@ -503,5 +507,4 @@ def test_emit_perf_record():
         record["deep_queue"] = RESULTS["deep_queue"]
     if "tracing_overhead" in RESULTS:
         record["tracing_overhead"] = RESULTS["tracing_overhead"]
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    assert RECORD_PATH.exists()
+    write_record(RECORD_PATH, record)

@@ -13,6 +13,8 @@ Scale knobs (environment variables):
     Horizon per run (default 100,000 — the documented configuration).
 ``REPRO_BENCH_FLEET_CLUSTERS``
     Member clusters (default 4).
+``REPRO_BENCH_EMIT``
+    Set to ``1`` to write the record file (see ``conftest.write_record``).
 
 Shape checks ride along: the adaptive policies must not cost more than a
 small multiple of the most expensive static policy (they mostly delegate
@@ -21,12 +23,12 @@ to it), and every reject ratio must be a valid ratio.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import pytest
+from conftest import write_record
 
 from repro.fleet import FleetScenario, routing_policy_names, simulate_fleet
 from repro.learn import learning_policy_names
@@ -110,5 +112,4 @@ def test_emit_perf_record():
         },
         "policies": {p: RESULTS[p] for p in sorted(RESULTS)},
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    assert RECORD_PATH.exists()
+    write_record(RECORD_PATH, record)

@@ -21,17 +21,19 @@ Scale knobs (environment variables):
     Horizon of the shared stream (default 1,000,000 — about 1,000 tasks).
 ``REPRO_BENCH_SERVE_MIN_RETENTION4`` / ``..._RETENTION16``
     Hard floors on the retention ratios (defaults 0.3 / 0.2).
+``REPRO_BENCH_EMIT``
+    Set to ``1`` to write the record file (see ``conftest.write_record``).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from pathlib import Path
 
 import pytest
+from conftest import write_record
 
 from repro.fleet import FleetScenario, simulate_fleet
 from repro.serve import (
@@ -196,5 +198,4 @@ def test_emit_perf_record():
         "retention_4": retention[4],
         "retention_16": retention[16],
     }
-    RECORD_PATH.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    assert RECORD_PATH.exists()
+    write_record(RECORD_PATH, record)

@@ -31,7 +31,7 @@ from typing import Sequence
 from repro.core.algorithms import ALGORITHMS, algorithm_names
 from repro.core.cluster import ClusterProfile
 from repro.core.errors import InvalidParameterError, ReproError
-from repro.core.fastpath import ADMISSION_ENGINES
+from repro.core.fastpath import ADMISSION_ENGINES, DEFAULT_ADMISSION_ENGINE
 from repro.core.partition import NODE_ORDERS
 from repro.experiments.batch import BatchRunner, RunSpec
 from repro.experiments.figures import DEFAULT_LOADS, FIGURES
@@ -200,11 +200,11 @@ def _faults_from_args(
     return None
 
 
-def _add_engine_arg(p: argparse.ArgumentParser, default: str = "fast") -> None:
+def _add_engine_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--admission-engine",
         choices=ADMISSION_ENGINES,
-        default=default,
+        default=DEFAULT_ADMISSION_ENGINE,
         help="schedulability-test engine (bit-identical outputs; "
         "see docs/performance.md)",
     )
@@ -758,7 +758,7 @@ def _add_serve_shared_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--total-time", type=float, default=200_000.0)
     p.add_argument("--seed", type=int, default=2007)
-    _add_engine_arg(p, default="batch")
+    _add_engine_arg(p)
     p.add_argument(
         "--node-order",
         choices=NODE_ORDERS,

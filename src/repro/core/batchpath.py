@@ -43,8 +43,8 @@ kernels lift those loops into arrays:
    identical walk but returns only the newcomer's earliest-finish
    estimate, skipping decision/plan materialization entirely.
    :class:`~repro.fleet.sim.FleetSimulation`'s probing routers call it
-   per member on one arrival (composing with the shared per-arrival probe
-   cache), and the walk's memo makes the subsequent routed ``submit``
+   per member on one arrival, and the walk's memo makes the subsequent
+   routed ``submit``
    replay the probed member's walk as cache hits.
 
 Additionally the memo keeps **two** entries per task instead of one: a

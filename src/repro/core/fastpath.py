@@ -13,7 +13,7 @@ Every metric in the paper flows through the schedulability test, and the test
 is the system's hot path cubed: each arrival re-plans the *entire* waiting
 queue, each re-plan scans candidate node counts, and the fleet's probing
 routers multiply that by one full admission test per member cluster per task.
-Four coordinated optimizations attack that cost without changing a single
+Six coordinated optimizations attack that cost without changing a single
 output bit:
 
 1. **Per-task plan memoization** — a placement depends only on the task, the
@@ -54,6 +54,12 @@ output bit:
    node-count bound per position through the guard-banded threshold table
    (certain answers only; any doubt falls back to a cold walk).  Admission
    cost becomes proportional to what changed, not to queue depth.
+6. **Depth-0 admission** — in the paper's regime (load <= 1, small
+   DCRatio) nearly every test runs against an empty waiting queue, where
+   the walk is one placement of the newcomer.  Such a test skips the
+   queue-order rebuild, the strided restore and the memo sweep, and
+   updates the walk's state directly (:meth:`_admit_alone`).  Queue
+   depth, a property of the input, selects the path — there is no knob.
 
 Partitioners the engine does not specialize (multi-round plans, third-party
 strategies) and stochastic re-draw configurations (User-Split with
@@ -93,6 +99,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ADMISSION_ENGINES",
+    "DEFAULT_ADMISSION_ENGINE",
     "FastSchedulabilityTest",
     "make_admission_test",
     "validate_admission_engine",
@@ -103,6 +110,10 @@ __all__ = [
 #: ``"reference"`` (the original :class:`SchedulabilityTest`).  All three
 #: produce bit-identical decision streams.
 ADMISSION_ENGINES: tuple[str, ...] = ("fast", "batch", "reference")
+
+#: The admission engine every entry point uses unless told otherwise
+#: (simulation, fleet, experiments, the serve backends and the CLI).
+DEFAULT_ADMISSION_ENGINE = "fast"
 
 #: Checkpoint snapshot stride: a full copy of the scratch availability
 #: vector is stored after every ``_CKPT_STRIDE``-th queue position, so a
@@ -126,7 +137,7 @@ def make_admission_test(
     partitioner: Partitioner,
     cluster: ClusterProfile,
     *,
-    engine: str = "fast",
+    engine: str = DEFAULT_ADMISSION_ENGINE,
     obs=None,
     checkpoint: bool = True,
 ) -> "SchedulabilityTest | FastSchedulabilityTest":
@@ -537,9 +548,16 @@ class FastSchedulabilityTest:
             return self._delegate.try_admit(new_task, waiting, reservations, now)
         if reservations.nodes != self._n:
             return self._fallback().try_admit(new_task, waiting, reservations, now)
+        # An empty queue (the paper regime's common case) is one placement;
+        # the phase profile keeps the full walk, whose phases it times.
+        walk = (
+            self._admit_walk
+            if waiting or self.profile is not None
+            else self._admit_alone
+        )
         tracer = self._tracer
         if tracer is None:
-            return self._admit_walk(new_task, waiting, reservations, now)
+            return walk(new_task, waiting, reservations, now)
         with tracer.span(
             "admission.try_admit",
             "admission",
@@ -548,7 +566,7 @@ class FastSchedulabilityTest:
             queue=len(waiting),
             engine=self.engine_name,
         ):
-            decision = self._admit_walk(new_task, waiting, reservations, now)
+            decision = walk(new_task, waiting, reservations, now)
             tracer.event(
                 "admission.decision",
                 "admission",
@@ -681,6 +699,152 @@ class FastSchedulabilityTest:
         if ckpt_on:
             self._ckpt_splice(start, side, reservations, now)
         return AdmissionDecision(accepted=True, plans=plans)
+
+    def _admit_alone(
+        self,
+        new_task: DivisibleTask,
+        waiting: Sequence[DivisibleTask],
+        reservations: NodeReservations,
+        now: float,
+    ) -> AdmissionDecision:
+        """:meth:`_admit_walk` for an empty ``waiting``: one placement.
+
+        The ordered queue is ``[new_task]``, so the walk reduces to one
+        memoized placement or a one-position checkpoint restore.  This
+        path computes exactly that and writes every piece of engine state
+        the walk writes, with the same values: the order-cache
+        bookkeeping of :meth:`_ordered_queue`, the memo and its pruning
+        bound, the ``_ckpt_sync`` chain and the one-position store of
+        :meth:`_ckpt_restore` / :meth:`_ckpt_splice`, and the same
+        registry counts and trace events.  The staging buffer
+        ``_ckpt_newbase`` is the one thing it skips: the walk only reads
+        it back within the walk that wrote it.
+        """
+        tid = new_task.task_id
+        cached = self._order_cache
+        if cached is None:
+            common = -1
+        elif self._order_waiting == () and cached[0] is new_task:
+            common = 1  # the same newcomer re-asked against an empty queue
+        else:
+            common = 0
+        if common != 1:
+            self._order_cache = [new_task]
+        self._order_waiting = ()
+        self._insert_pos = 0
+        self._order_common = common
+        memo = self._memo
+        if len(memo) > 34:  # the walk's bound, 2 * len(ordered) + 32
+            kept = memo.get(tid)
+            memo.clear()
+            if kept is not None:
+                memo[tid] = kept
+
+        temp = self._temp
+        np.copyto(temp, reservations.release_times)
+        np.maximum(temp, now, out=temp)
+        counted = self._cache_hits is not None
+        ckpt_on = self._ckpt_enabled
+        if ckpt_on:
+            sync = self._ckpt_sync
+            if common < 0:
+                sync = -1
+            elif 0 <= sync and common < sync:
+                sync = common
+            self._ckpt_sync = sync
+            items = self._ckpt_items
+            start = 0
+            # A zero agreement length restores nothing whatever the base
+            # is, so the base comparison only runs when it can matter.
+            if self._ckpt_valid and items and sync and (
+                (
+                    reservations is self._ckpt_res
+                    and reservations.epoch == self._ckpt_epoch
+                    and now == self._ckpt_now
+                )
+                or np.array_equal(temp, self._ckpt_base)
+            ):
+                if sync > 0:
+                    start = sync
+                else:
+                    start = self._ckpt_sync = int(self._ckpt_tids[0] == tid)
+                if start and self._token is not None and now != self._ckpt_now:
+                    start = self._ckpt_token_prefix(1, now)
+            if counted:
+                self._ckpt_tally(start)
+            if start:
+                # The stored position is this newcomer's placement; keep
+                # it as the whole store (``_ckpt_splice(1, [])``).
+                item = items[0]
+                del items[1:]
+                del self._ckpt_tids[1:]
+                self._ckpt_res = reservations
+                self._ckpt_epoch = reservations.epoch
+                self._ckpt_now = now
+                self._ckpt_sync = 1
+                return AdmissionDecision(
+                    accepted=True, plans={item[0].task_id: item[1].plan}
+                )
+
+        entry: _MemoEntry | None = None
+        token = _UNSET
+        memo_on = self._memo_enabled
+        if memo_on:
+            key = temp.tobytes()
+            hit = memo.get(tid)
+            if hit is not None and hit.key == key:
+                if self._token is None:
+                    entry = hit
+                else:
+                    token = self._token(new_task, now)
+                    if token == hit.n_req:
+                        entry = hit
+        tracer = self._tracer
+        if entry is None:
+            entry = self._place(new_task, temp, now, token)
+            if tracer is not None:
+                tracer.event(
+                    "admission.kernel",
+                    "admission",
+                    now,
+                    task=tid,
+                    n=None if entry.ids is None else len(entry.ids),
+                )
+            if memo_on:
+                entry.key = key
+                memo[tid] = entry
+            if counted:
+                self._cache_misses.inc()
+        else:
+            if tracer is not None:
+                tracer.event("admission.plan_cache", "admission", now, task=tid)
+            if counted:
+                self._cache_hits.inc()
+        plan = entry.plan
+        if plan is None:
+            return AdmissionDecision(accepted=False, plans={}, failed_task_id=tid)
+        if ckpt_on:
+            # ``_ckpt_splice(0, [item])``: a cold one-position store.
+            del items[:]
+            items.append((new_task, entry, plan.node_ids, plan.est_completion))
+            tids = self._ckpt_tids
+            del tids[:]
+            tids.append(tid)
+            if not self._ckpt_cap:
+                self._ckpt_grow(1)
+            np.copyto(self._ckpt_base, temp)
+            if self._token is not None:
+                win = entry.ckpt_win
+                if win is None:
+                    win = entry.ckpt_win = self._ckpt_window(new_task, entry.n_req)
+                self._ckpt_wlo[0] = win[0]
+                self._ckpt_whi[0] = win[1]
+            self._ckpt_res = reservations
+            self._ckpt_epoch = reservations.epoch
+            self._ckpt_now = now
+            self._ckpt_valid = True
+            self._ckpt_sync = 1
+        return AdmissionDecision(accepted=True, plans={tid: plan})
 
     def _flush_cache_tallies(self, n_hits: int, n_misses: int) -> None:
         """Fold one walk's memo tallies into the registry counters.

@@ -129,22 +129,32 @@ class NodeReservations:
             the planner only ever extends holds (completion estimates are
             beyond availability by construction), so a regression means a
             scheduling bug.
+
+        A dispatch holds a handful of nodes, so the checks run on Python
+        scalars: ``until < c - 1e-9`` is monotone in ``c``, so testing the
+        largest current release decides it for every node.
         """
-        ids = np.asarray(list(node_ids), dtype=np.intp)
-        if ids.size == 0:
+        ids = [int(i) for i in node_ids]
+        if not ids:
             raise InvalidParameterError("assign() needs at least one node id")
-        if np.any(ids < 0) or np.any(ids >= self.nodes):
-            raise InvalidParameterError(
-                f"node ids out of range [0, {self.nodes}): {ids.tolist()}"
-            )
-        current = self._release[ids]
-        if np.any(until < current - 1e-9):
+        release = self._release
+        nodes = release.size
+        for i in ids:
+            if i < 0 or i >= nodes:
+                raise InvalidParameterError(
+                    f"node ids out of range [0, {nodes}): {ids}"
+                )
+        current = max([release[i] for i in ids])
+        if until < current - 1e-9:
             raise ScheduleConsistencyError(
                 "assignment would shrink a node hold: "
-                f"until={until} < current release {current.max()}"
+                f"until={until} < current release {current}"
             )
-        self._release[ids] = until
-        self._owner[ids] = self.NO_OWNER if owner is None else owner
+        holder = self.NO_OWNER if owner is None else owner
+        owners = self._owner
+        for i in ids:
+            release[i] = until
+            owners[i] = holder
         self._epoch += 1
 
     def release_early(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from repro.core.admission import AdmissionDecision
 from repro.core.cluster import ClusterProfile
 from repro.core.errors import ScheduleConsistencyError
-from repro.core.fastpath import make_admission_test
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE, make_admission_test
 from repro.core.partition import Partitioner, PlacementPlan
 from repro.core.policies import SchedulingPolicy
 from repro.core.reservations import NodeReservations
@@ -201,7 +201,7 @@ class ClusterScheduler:
         partitioner: Partitioner,
         *,
         eager_release: bool = False,
-        admission_engine: str = "fast",
+        admission_engine: str = DEFAULT_ADMISSION_ENGINE,
         obs: Observability | None = None,
     ) -> None:
         self.cluster = cluster

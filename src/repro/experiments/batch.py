@@ -29,7 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.core.algorithms import ALGORITHMS
 from repro.core.errors import InvalidParameterError
-from repro.core.fastpath import validate_admission_engine
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE, validate_admission_engine
 from repro.core.partition import validate_node_order
 from repro.metrics.collector import MetricsSummary, validate_metric
 from repro.metrics.stats import ConfidenceInterval, mean_ci
@@ -70,7 +70,7 @@ class RunSpec:
     shared_head_link: bool = False
     keep_output: bool = False
     node_order: str = "availability"
-    admission_engine: str = "fast"
+    admission_engine: str = DEFAULT_ADMISSION_ENGINE
 
     def __post_init__(self) -> None:
         # Imported lazily: the fleet layer builds on this module.

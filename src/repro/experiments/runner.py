@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.algorithms import make_algorithm
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE
 from repro.experiments.batch import BatchRunner, RunSpec
 from repro.metrics.collector import MetricsSummary, summarize, validate_metric
 from repro.metrics.stats import ConfidenceInterval, mean_ci
@@ -79,7 +80,7 @@ def simulate(
     eager_release: bool = False,
     shared_head_link: bool = False,
     node_order: str = "availability",
-    admission_engine: str = "fast",
+    admission_engine: str = DEFAULT_ADMISSION_ENGINE,
     obs=None,
 ) -> RunResult:
     """Run one simulation of ``algorithm`` under ``config``.

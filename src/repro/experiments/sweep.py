@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE
 from repro.core.partition import NODE_ORDERS, validate_node_order
 from repro.experiments.batch import BatchRunner, RunSpec
 from repro.experiments.figures import DEFAULT_LOADS, PanelSpec
@@ -183,7 +184,7 @@ def _run_spread_grid(
     validate: bool,
     workers: int | None,
     workers_mode: str,
-    admission_engine: str = "fast",
+    admission_engine: str = DEFAULT_ADMISSION_ENGINE,
 ) -> SpreadSweepResult:
     """Shared driver of the heterogeneity-spread sweeps.
 
@@ -270,7 +271,7 @@ def run_spread_sweep(
     validate: bool = True,
     workers: int | None = None,
     workers_mode: str = "process",
-    admission_engine: str = "fast",
+    admission_engine: str = DEFAULT_ADMISSION_ENGINE,
 ) -> SpreadSweepResult:
     """Sweep intrinsic cluster heterogeneity at a fixed SystemLoad.
 
@@ -322,7 +323,7 @@ def run_node_order_sweep(
     validate: bool = True,
     workers: int | None = None,
     workers_mode: str = "process",
-    admission_engine: str = "fast",
+    admission_engine: str = DEFAULT_ADMISSION_ENGINE,
 ) -> SpreadSweepResult:
     """Grid node-ordering policies against cluster heterogeneity spreads.
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.core.algorithms import make_algorithm
 from repro.core.errors import InvalidParameterError
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE
 from repro.core.task import DivisibleTask, TaskOutcome, TaskRecord
 from repro.fleet.routing import ClusterView, RoutingPolicy, make_routing_policy
 from repro.fleet.scenario import FleetScenario
@@ -76,10 +77,6 @@ class FleetOutput:
     metrics: MetricsSummary
     per_cluster: tuple[MetricsSummary, ...]
     learning: LearningReport | None = None
-    #: Probes answered from the shared per-arrival probe cache vs probes
-    #: that actually ran an admission walk (0/0 for non-probing policies).
-    probe_cache_hits: int = 0
-    probe_cache_misses: int = 0
 
     @property
     def reject_ratio(self) -> float:
@@ -126,8 +123,8 @@ class FleetSimulation:
         :meth:`~repro.obs.Observability.member`, so member counters stay
         bit-identical to a standalone run) but shares the fleet tracer,
         writing spans onto its own track; the fleet itself keeps routing
-        and probe-cache counters on the fleet registry and traces the
-        per-arrival probe fan-out on one extra track.
+        counters on the fleet registry and traces the per-arrival probe
+        fan-out on one extra track.
     """
 
     def __init__(
@@ -140,7 +137,7 @@ class FleetSimulation:
         eager_release: bool = False,
         shared_head_link: bool = False,
         node_order: str = "availability",
-        admission_engine: str = "fast",
+        admission_engine: str = DEFAULT_ADMISSION_ENGINE,
         obs: Observability | None = None,
     ) -> None:
         self.scenario = scenario
@@ -155,13 +152,6 @@ class FleetSimulation:
             else tracer
         )
         self.sims: list[ClusterSimulation] = []
-        #: Per-member fingerprint for the per-arrival probe cache, or
-        #: ``None`` when probing the member is not repeatable (stochastic
-        #: partitioners consume an RNG draw per first-contact probe, so
-        #: their probes must all run).  Two members share a fingerprint
-        #: exactly when the same probe against the same dynamic state must
-        #: return the same estimate: same cluster costs and algorithm.
-        self._probe_sigs: list[tuple[object, ...] | None] = []
         #: Per-member blackout windows ``(start, end)`` from the fault
         #: plan — the member counts as *down* over ``[start, end)`` for
         #: routing views and up/down transition feedback.
@@ -196,15 +186,6 @@ class FleetSimulation:
                     if event.kind == "blackout"
                 )
             )
-            self._probe_sigs.append(
-                None
-                if instance.spec.needs_rng
-                else (
-                    member_algorithm,
-                    member.cluster.cms_vector,
-                    member.cluster.cps_vector,
-                )
-            )
         self.policy: RoutingPolicy = make_routing_policy(
             scenario.policy,
             rng=scenario.routing_rng(),
@@ -232,14 +213,6 @@ class FleetSimulation:
         self._last_arrival = -np.inf
         self._done = False
         registry = self.obs.registry
-        self._probe_hits = registry.counter(
-            "fleet_probe_cache_hits_total",
-            "Probes answered from the shared per-arrival probe cache.",
-        )
-        self._probe_misses = registry.counter(
-            "fleet_probe_cache_misses_total",
-            "Probes that actually ran an admission walk.",
-        )
         self._routed_counters = [
             registry.counter(
                 "fleet_routed_total",
@@ -286,20 +259,8 @@ class FleetSimulation:
                 )
             )
 
-    def _view(
-        self,
-        index: int,
-        now: float,
-        probe_cache: dict[tuple, float | None] | None = None,
-    ) -> ClusterView:
-        """Snapshot member ``index`` for one routing decision.
-
-        ``probe_cache`` is one arrival's shared what-if cache: when two
-        members are in an identical probe-relevant state (same costs,
-        algorithm, reservations and waiting queue — e.g. idle members of a
-        uniform fleet), the second probe is answered from the first
-        member's result instead of re-running the admission test.
-        """
+    def _view(self, index: int, now: float) -> ClusterView:
+        """Snapshot member ``index`` for one routing decision."""
         sim = self.sims[index]
         scheduler = sim.scheduler
         release = scheduler.reservations.release_times
@@ -307,47 +268,30 @@ class FleetSimulation:
         # reduction, bit-identical value) — this runs per member per task.
         over = np.maximum(release - now, 0.0)
         backlog = float(over.sum() / over.size)
-        sig = self._probe_sigs[index]
 
         def probe(task: DivisibleTask, _sim: ClusterSimulation = sim) -> float | None:
             """What-if admission: the cluster's estimate, or None on reject."""
-            key: tuple | None = None
-            if probe_cache is not None and sig is not None:
-                # ``release`` is this arrival's committed snapshot: no
-                # events run between snapshotting and routing, so it is
-                # exactly the state the probe tests.
-                key = (sig, release.tobytes(), tuple(_sim.scheduler.waiting))
-                if key in probe_cache:
-                    self._probe_hits.inc()
-                    return probe_cache[key]
-            self._probe_misses.inc()
             test = _sim.scheduler.test
             probe_fn = getattr(test, "probe_completion", None)
             if probe_fn is not None:
                 # The batch engine's member kernel: same walk, but it
                 # returns just the earliest-finish estimate — no decision
                 # or plan objects, which a probe discards anyway.
-                result = probe_fn(
+                return probe_fn(
                     task,
                     list(_sim.scheduler.waiting.values()),
                     _sim.scheduler.reservations,
                     now,
                 )
-            else:
-                decision = test.try_admit(
-                    task,
-                    list(_sim.scheduler.waiting.values()),
-                    _sim.scheduler.reservations,
-                    now,
-                )
-                result = (
-                    decision.plans[task.task_id].est_completion
-                    if decision.accepted
-                    else None
-                )
-            if key is not None:
-                probe_cache[key] = result
-            return result
+            decision = test.try_admit(
+                task,
+                list(_sim.scheduler.waiting.values()),
+                _sim.scheduler.reservations,
+                now,
+            )
+            if not decision.accepted:
+                return None
+            return decision.plans[task.task_id].est_completion
 
         return ClusterView(
             index=index,
@@ -456,20 +400,14 @@ class FleetSimulation:
             self._drain_completions()
         if self.policy.learns:
             self._fault_feedback(task.arrival)
-        probe_cache: dict[tuple, float | None] = {}
         if self._trace is None:
-            views = [
-                self._view(i, task.arrival, probe_cache) for i in range(n_members)
-            ]
+            views = [self._view(i, task.arrival) for i in range(n_members)]
             index = self.policy.route(task, views)
         else:
             with self._trace.span(
                 "fleet.route", "fleet", task.arrival, task=task.task_id
             ):
-                views = [
-                    self._view(i, task.arrival, probe_cache)
-                    for i in range(n_members)
-                ]
+                views = [self._view(i, task.arrival) for i in range(n_members)]
                 index = self.policy.route(task, views)
             self._trace.event(
                 "fleet.routed",
@@ -525,7 +463,7 @@ class FleetSimulation:
                 self._drain_completions()  # everything accepted has drained
             report = self.policy.report()  # type: ignore[attr-defined]
             metrics = replace(metrics, learning_regret=report.cumulative_regret)
-        # Fold the fleet's own counters (routing shares, probe cache) into
+        # Fold the fleet's own counters (routing shares) into
         # the pooled member snapshot carried by the summary.
         metrics = replace(
             metrics,
@@ -542,8 +480,6 @@ class FleetSimulation:
             metrics=metrics,
             per_cluster=per_cluster,
             learning=report,
-            probe_cache_hits=int(self._probe_hits.value),
-            probe_cache_misses=int(self._probe_misses.value),
         )
 
     # -- live introspection (the admission service's status/cancel hooks) --
@@ -637,7 +573,7 @@ def simulate_fleet(
     eager_release: bool = False,
     shared_head_link: bool = False,
     node_order: str = "availability",
-    admission_engine: str = "fast",
+    admission_engine: str = DEFAULT_ADMISSION_ENGINE,
     obs: Observability | None = None,
 ) -> FleetOutput:
     """Run one fleet simulation of ``algorithm`` under ``scenario``.

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per simulation (cluster or fleet) absorbs the
 counters that used to live as ad-hoc integer attributes
-(``SchedulerStats`` fields, ``FleetOutput.probe_cache_hits``, …) and adds
+(``SchedulerStats`` fields, per-member routing shares, …) and adds
 the derived surfaces the rest of the stack reads: a typed snapshot dict
 riding :class:`~repro.metrics.collector.MetricsSummary` and the serve wire
 protocol, and a Prometheus text rendering behind

@@ -36,6 +36,7 @@ from typing import Any
 
 from repro.core.algorithms import make_algorithm
 from repro.core.errors import InvalidParameterError, ReproError
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE
 from repro.core.task import DivisibleTask, TaskOutcome
 from repro.fleet.scenario import FleetScenario
 from repro.fleet.sim import FleetSimulation
@@ -99,9 +100,8 @@ class ClusterBackend:
     node_order / admission_engine / eager_release / shared_head_link /
     validate:
         Forwarded to the underlying simulation.  ``admission_engine``
-        defaults to ``"batch"`` — the fastest engine on admission-heavy
-        streams (decisions are bit-identical across engines, so a live
-        service always wants the quick one).
+        defaults to :data:`~repro.core.fastpath.DEFAULT_ADMISSION_ENGINE`,
+        as everywhere else (decisions are bit-identical across engines).
     """
 
     #: Backend kind tag carried in ``hello`` and finalize payloads.
@@ -113,7 +113,7 @@ class ClusterBackend:
         algorithm: str,
         *,
         node_order: str = "availability",
-        admission_engine: str = "batch",
+        admission_engine: str = DEFAULT_ADMISSION_ENGINE,
         eager_release: bool = False,
         shared_head_link: bool = False,
         validate: bool = True,
@@ -219,7 +219,7 @@ class FleetBackend:
         algorithm: str,
         *,
         node_order: str = "availability",
-        admission_engine: str = "batch",
+        admission_engine: str = DEFAULT_ADMISSION_ENGINE,
         eager_release: bool = False,
         shared_head_link: bool = False,
         validate: bool = True,
@@ -300,7 +300,7 @@ class FleetBackend:
         """Live merged registry snapshot: every member plus the fleet.
 
         Member registries are merged cellwise with the fleet's own
-        (routing shares, probe cache), so one flat snapshot describes
+        (routing shares), so one flat snapshot describes
         the whole service — the shape ``summarize_pooled`` attaches to
         the offline :class:`~repro.metrics.collector.MetricsSummary`.
         """

@@ -24,6 +24,7 @@ DESIGN.md):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -32,6 +33,7 @@ import numpy as np
 from repro.core.algorithms import AlgorithmInstance
 from repro.core.cluster import ClusterProfile
 from repro.core.errors import InvalidParameterError
+from repro.core.fastpath import DEFAULT_ADMISSION_ENGINE
 from repro.core.partition import PlacementPlan
 from repro.core.scheduler import ClusterScheduler, SchedulerStats
 from repro.core.task import DivisibleTask, TaskRecord
@@ -137,7 +139,7 @@ class ClusterSimulation:
         trace: bool = False,
         eager_release: bool = False,
         shared_head_link: bool = False,
-        admission_engine: str = "fast",
+        admission_engine: str = DEFAULT_ADMISSION_ENGINE,
         faults: FaultPlan | None = None,
         obs: Observability | None = None,
     ) -> None:
@@ -178,13 +180,15 @@ class ClusterSimulation:
         n = cluster.nodes
         # Per-node cost vectors, indexed by node id (uniform for the paper's
         # homogeneous cluster — the arithmetic is then bit-identical to the
-        # scalar-cost code this generalizes).
-        self._cms_by_node = np.asarray(cluster.cms_vector, dtype=np.float64)
-        self._cps_by_node = np.asarray(cluster.cps_vector, dtype=np.float64)
-        self._node_free = np.zeros(n)  # actual per-node free times
+        # scalar-cost code this generalizes).  Per-node state is kept in
+        # Python lists: the executor reads and writes it one chunk at a
+        # time, where list items beat NumPy scalar indexing.
+        self._cms_by_node = np.asarray(cluster.cms_vector, dtype=np.float64).tolist()
+        self._cps_by_node = np.asarray(cluster.cps_vector, dtype=np.float64).tolist()
+        self._node_free = [0.0] * n  # actual per-node free times
         self._head_free = 0.0  # only consulted in shared-link mode
-        self._busy = np.zeros(n)
-        self._allocated = np.zeros(n)
+        self._busy = [0.0] * n
+        self._allocated = [0.0] * n
         self._traces: list[TaskTrace] = []
         #: Start events of the currently committed schedule.  Every
         #: accepted arrival bumps the plan version, voiding all previous
@@ -222,7 +226,7 @@ class ClusterSimulation:
     @property
     def busy_time(self) -> float:
         """Total actual link+CPU occupancy accrued so far (node-time units)."""
-        return float(self._busy.sum())
+        return float(np.asarray(self._busy).sum())
 
     def _check_task_order(self) -> None:
         last = -np.inf
@@ -260,11 +264,9 @@ class ClusterSimulation:
         plan = self.scheduler.on_start(task_id, version, now)
         if plan is None:  # superseded by a later re-plan
             return
-        comp_ends = self._execute_plan(plan)
-        completion = float(comp_ends.max())
-        ends = tuple(float(v) for v in comp_ends)
+        ends = self._execute_plan(plan)
         handle = self.engine.schedule(
-            completion,
+            max(ends),
             EventKind.COMPLETION,
             lambda eng, t, task_id=task_id, ends=ends: (
                 self._handle_completion(task_id, ends)
@@ -273,54 +275,70 @@ class ClusterSimulation:
         if self.faults is not None:
             self._completion_events[task_id] = handle
 
-    def _execute_plan(self, plan: PlacementPlan) -> "NDArray[np.float64]":
-        """Physically execute a plan's chunk sequence; return comp ends."""
+    def _execute_plan(self, plan: PlacementPlan) -> tuple[float, ...]:
+        """Physically execute a plan's chunk sequence; return comp ends.
+
+        One pass over the plan's chunks in node order, on Python floats.
+        Each chunk's transmission starts when the previous chunk's
+        transmission ended, its dispatch release has passed and its node
+        is physically free (and, in shared-link mode, the head link is
+        free).  Per-chunk costs are ``(alpha * sigma) * C_i``, the same
+        operations in the same order as the vectorized form, so every
+        value is bit-identical to it.
+        """
         if plan.explicit_chunks is not None:
             return self._replay_explicit(plan)
         sigma = plan.task.sigma
-        alphas = np.asarray(plan.alphas)
-        node_ids = np.asarray(plan.node_ids, dtype=np.intp)
-        trans = alphas * sigma * self._cms_by_node[node_ids]
-        comp = alphas * sigma * self._cps_by_node[node_ids]
-        releases = np.asarray(plan.dispatch_releases)
-
-        n = len(node_ids)
-        comp_ends = np.empty(n)
-        chunks: list[ChunkTrace] = []
-        windows: list[tuple[int, float, float]] = []
-        prev_end = -np.inf
-        for i in range(n):
-            node = int(node_ids[i])
-            start = max(prev_end, float(releases[i]), float(self._node_free[node]))
-            if self.shared_head_link:
+        cms = self._cms_by_node
+        cps = self._cps_by_node
+        node_free = self._node_free
+        busy = self._busy
+        allocated = self._allocated
+        est = plan.est_completion
+        booked = plan.release_times
+        shared = self.shared_head_link
+        windows: list[tuple[int, float, float]] | None = (
+            [] if self.faults is not None else None
+        )
+        chunks: list[ChunkTrace] | None = [] if self.trace_enabled else None
+        ends: list[float] = []
+        prev_end = -math.inf
+        for i, (node, alpha, release) in enumerate(
+            zip(plan.node_ids, plan.alphas, plan.dispatch_releases)
+        ):
+            share = alpha * sigma
+            trans = share * cms[node]
+            comp = share * cps[node]
+            start = max(prev_end, release, node_free[node])
+            if shared:
                 start = max(start, self._head_free)
-            t_end = start + trans[i]
-            if self.shared_head_link:
+            t_end = start + trans
+            if shared:
                 self._head_free = t_end
-            c_end = t_end + comp[i]
+            c_end = t_end + comp
             prev_end = t_end
-            comp_ends[i] = c_end
-            self._node_free[node] = c_end
-            self._busy[node] += trans[i] + comp[i]
-            self._allocated[node] += plan.est_completion - plan.release_times[i]
-            if self.faults is not None:
-                windows.append((node, start, float(c_end)))
-            if self.trace_enabled:
+            ends.append(c_end)
+            node_free[node] = c_end
+            busy[node] += trans + comp
+            allocated[node] += est - booked[i]
+            if windows is not None:
+                windows.append((node, start, c_end))
+            if chunks is not None:
                 chunks.append(
                     ChunkTrace(
                         task_id=plan.task.task_id,
                         node_id=node,
                         position=i,
-                        alpha=float(alphas[i]),
-                        release=plan.release_times[i],
+                        alpha=alpha,
+                        release=booked[i],
                         trans_start=start,
                         trans_end=t_end,
                         comp_end=c_end,
                     )
                 )
-        if self.faults is not None:
+        if windows is not None:
             self._exec_windows[plan.task.task_id] = windows
-        if self.trace_enabled:
+        if chunks is not None:
             self._traces.append(
                 TaskTrace(
                     task_id=plan.task.task_id,
@@ -328,9 +346,9 @@ class ClusterSimulation:
                     chunks=tuple(chunks),
                 )
             )
-        return comp_ends
+        return tuple(ends)
 
-    def _replay_explicit(self, plan: PlacementPlan) -> "NDArray[np.float64]":
+    def _replay_explicit(self, plan: PlacementPlan) -> tuple[float, ...]:
         """Replay a precomputed (multi-round) chunk schedule verbatim.
 
         The planner built the windows against conservative node releases,
@@ -345,7 +363,7 @@ class ClusterSimulation:
             )
         assert plan.explicit_chunks is not None
         n = plan.n
-        comp_ends = np.zeros(n)
+        comp_ends = [0.0] * n
         chunks: list[ChunkTrace] = []
         windows: list[tuple[int, float, float]] = []
         for c in sorted(plan.explicit_chunks, key=lambda c: (c.trans_start, c.position)):
@@ -384,7 +402,7 @@ class ClusterSimulation:
                     chunks=tuple(chunks),
                 )
             )
-        return comp_ends
+        return tuple(comp_ends)
 
     def _handle_completion(self, task_id: int, ends: tuple[float, ...]) -> None:
         actual = max(ends)
@@ -521,7 +539,8 @@ class ClusterSimulation:
         if victims:
             self._recompute_node_free(touched, now)
         ids = list(affected)
-        self._node_free[ids] = np.maximum(self._node_free[ids], recover)
+        for node in ids:
+            self._node_free[node] = max(self._node_free[node], recover)
         self._down_until[ids] = np.maximum(self._down_until[ids], recover)
         scheduler.reservations.floor_release(affected, recover)
 
@@ -733,8 +752,8 @@ class ClusterSimulation:
             records=self.scheduler.records,
             stats=self.scheduler.stats,
             validation=self.validator.report,
-            node_busy_time=self._busy,
-            node_allocated_time=self._allocated,
+            node_busy_time=np.array(self._busy),
+            node_allocated_time=np.array(self._allocated),
             horizon=self.horizon,
             traces=self._traces,
             obs_snapshot=self.obs.registry.snapshot(),

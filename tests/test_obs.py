@@ -238,8 +238,6 @@ class TestZeroPerturbation:
         for a, b in zip(plain.outputs, traced.outputs):
             assert_identical(a, b)
         assert plain.metrics.obs == traced.metrics.obs
-        assert plain.probe_cache_hits == traced.probe_cache_hits
-        assert plain.probe_cache_misses == traced.probe_cache_misses
 
     def test_traced_metrics_snapshot_matches_untraced(self):
         sc = scenario(11)

@@ -464,9 +464,7 @@ class TestMetricsOp:
                 replay_tasks(client, tasks, latencies=latencies)
                 snap = client.metrics()
                 client.finalize()
-        offline = simulate(
-            scenario.member_scenario(0), "EDF-DLT", admission_engine="batch"
-        )
+        offline = simulate(scenario.member_scenario(0), "EDF-DLT")
         # Every deterministic instrument of the offline run appears in the
         # live snapshot with the identical value — the snapshot riding
         # MetricsSummary and the one behind the wire op are the same

@@ -1,9 +1,9 @@
 """Setuptools shim.
 
-All metadata lives in pyproject.toml.  This file exists so that
-``pip install -e . --no-use-pep517`` (the legacy editable path) works in
-offline environments that lack the ``wheel`` package, which the PEP 660
-editable build of older setuptools requires.
+All metadata lives in pyproject.toml.  This file exists for the legacy
+editable path, ``python setup.py develop``, which works offline in
+environments that lack the ``wheel`` package (both pip's PEP 660 editable
+build and ``pip install -e . --no-use-pep517`` need it).
 """
 
 from setuptools import setup

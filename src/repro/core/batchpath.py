@@ -22,8 +22,9 @@ kernels lift those loops into arrays:
    ``ñ_min`` / ``n_min`` node-count bound of *every* queued task is
    classified in a single vectorized pass (see kernel 2).  Rejected walks
    return early without materializing a single
-   :class:`~repro.core.partition.PlacementPlan`: entries carry raw arrays
-   and build their (tuple-heavy) plan objects lazily, only when a walk
+   :class:`~repro.core.partition.PlacementPlan`: entries carry the raw
+   outputs of the fast engine's scalar placement kernel (both engines run
+   the one kernel set) and build their plan objects lazily, only when a walk
    accepts — under overload most walks reject, so most placements never
    pay tuple conversion at all.
 2. **All-candidates bound evaluation without transcendentals** — the
@@ -66,16 +67,14 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core import dlt
 from repro.core.admission import AdmissionDecision
 from repro.core.fastpath import (  # noqa: F401  (_NodeBoundTable re-exported)
     _UNSET,
     FastSchedulabilityTest,
-    _alphas_vec,
     _NodeBoundTable,
     _trusted_plan,
 )
-from repro.core.partition import PlacementPlan, feasible_by
+from repro.core.partition import PlacementPlan
 from repro.core.reservations import NodeReservations
 from repro.core.task import DivisibleTask
 
@@ -89,13 +88,11 @@ class _BatchEntry:
     """One task's placement with the plan object deferred.
 
     ``ids is None`` marks an infeasible placement (the walk rejects on
-    it).  Feasible entries carry the raw arrays a
+    it).  Feasible entries carry the kernel's raw outputs a
     :class:`~repro.core.partition.PlacementPlan` is built from;
     :meth:`BatchSchedulabilityTest._materialize` converts them exactly
     once, on the first *accepted* walk that needs the plan — rejected
-    walks never pay the tuple conversions.  ``alphas is None`` on a
-    homogeneous OPR entry defers even the fraction vector
-    (``dlt.opr_alphas`` depends only on ``n`` and the cluster costs).
+    walks never pay the tuple conversions.
     """
 
     __slots__ = (
@@ -103,7 +100,6 @@ class _BatchEntry:
         "n_req",
         "task",
         "ids",
-        "ids_list",
         "completion",
         "releases",
         "alphas",
@@ -115,10 +111,10 @@ class _BatchEntry:
     def __init__(
         self,
         task: DivisibleTask,
-        ids: "NDArray[np.intp] | None" = None,
+        ids: list[int] | None = None,
         completion: float = 0.0,
-        releases: "NDArray[np.float64] | None" = None,
-        alphas: "NDArray[np.float64] | None" = None,
+        releases: list[float] | None = None,
+        alphas: Sequence[float] | None = None,
         opr_rn: float | None = None,
         n_req: int | None = None,
     ) -> None:
@@ -126,9 +122,6 @@ class _BatchEntry:
         self.n_req = n_req
         self.task = task
         self.ids = ids
-        # Scalar writes beat a fancy-index write for the few-node plans
-        # the paper rule mostly emits; computed once, reused on every hit.
-        self.ids_list = ids.tolist() if ids is not None else None
         self.completion = completion
         self.releases = releases
         self.alphas = alphas
@@ -375,7 +368,7 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
                         "admission",
                         now,
                         task=tid,
-                        n=None if entry.ids_list is None else len(entry.ids_list),
+                        n=None if entry.ids is None else len(entry.ids),
                     )
                 if memo_on:
                     entry.key = key
@@ -395,8 +388,8 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
                     tracer.event(
                         "admission.plan_cache", "admission", now, task=tid
                     )
-            ids_list = entry.ids_list
-            if ids_list is None:
+            ids = entry.ids
+            if ids is None:
                 if hits is not None:
                     self._flush_cache_tallies(n_hits, n_misses)
                 if ckpt_on and start == 0:
@@ -415,12 +408,9 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
                         )
                 return [], tid
             completion = entry.completion
-            if len(ids_list) <= 4:
-                for i in ids_list:
-                    temp[i] = completion
-            else:
-                temp[entry.ids] = completion
-            side.append((task, entry, ids_list, completion))
+            for node in ids:
+                temp[node] = completion
+            side.append((task, entry, ids, completion))
         if hits is not None:
             self._flush_cache_tallies(n_hits, n_misses)
         if ckpt_on:
@@ -459,103 +449,37 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
         return self._min_nodes_worst(sigma, budget)
 
     def _fixed_point_bounds(
-        self, task: DivisibleTask, sorted_avail: "NDArray[np.float64]"
+        self, task: DivisibleTask, order: list[int], floored: list[float]
     ) -> list[int | None]:
         """The bound at every candidate count ``k = 1..N`` in one pass."""
         absdl = task.arrival + task.deadline
         sigma = task.sigma
         bound_token = self._bound_token
-        return [bound_token(sigma, absdl - s) for s in sorted_avail.tolist()]
+        return [bound_token(sigma, absdl - floored[i]) for i in order]
 
-    # -- candidates against the pre-floored scratch vector -----------------
-    def _candidates_batch(
-        self, task: DivisibleTask, temp: "NDArray[np.float64]", now: float
-    ) -> tuple["NDArray[np.intp]", "NDArray[np.float64]"]:
-        """As :meth:`_candidates`, but ``temp`` is already floored at
-        ``now`` so the per-task arrival floor only runs when it can bite
-        (``arrival > now`` — direct callers only; the drivers never do)."""
-        if task.arrival > now:
-            base = self._floored
-            np.maximum(temp, task.arrival, out=base)
-        else:
-            base = temp
-        if self._order_avail:
-            order = base.argsort(kind="stable")
-        else:
-            order = np.lexsort((self._tiebreak, base))
-        return order, base[order]
-
-    # -- lazy entry builders (DLT-IIT / OPR) -------------------------------
-    def _dlt_entry(
+    # -- lazy entries over the shared kernel ------------------------------
+    def _entry(
         self,
         task: DivisibleTask,
-        order: "NDArray[np.intp]",
-        sorted_avail: "NDArray[np.float64]",
+        order: list[int],
+        floored: list[float],
         n: int,
         shared=None,
     ) -> _BatchEntry | None:
-        """DLT-IIT placement for ``n`` nodes; ``None`` if infeasible."""
-        releases = sorted_avail[:n]
-        completion, alphas = self._dlt_completion(
-            task.sigma, order[:n], releases, shared
-        )
-        if not feasible_by(completion, task.absolute_deadline):
+        """The fast engine's placement (same kernel), plan deferred."""
+        ids = order[:n]
+        releases = [floored[i] for i in ids]
+        placed = self._kernel(task, ids, releases, shared)
+        if placed is None:
             return None
-        return _BatchEntry(
-            task,
-            ids=order[:n].copy(),
-            completion=float(completion),
-            releases=releases,
-            alphas=alphas,
-        )
-
-    def _opr_entry(
-        self,
-        task: DivisibleTask,
-        order: "NDArray[np.intp]",
-        sorted_avail: "NDArray[np.float64]",
-        n: int,
-        shared=None,
-    ) -> _BatchEntry | None:
-        """OPR placement for ``n`` nodes; ``None`` if infeasible."""
-        sigma = task.sigma
-        releases = sorted_avail[:n]
-        rn = float(releases[-1])
-        if self._homog:
-            exec_time = self._exec_coeff[n - 1] * sigma * self._cost_sum
-            completion = rn + exec_time
-            if not feasible_by(completion, task.absolute_deadline):
-                return None
-            alphas = None  # deferred to _materialize (dlt.opr_alphas)
-        else:
-            if shared is not None:
-                cms_sel = shared._cms[:n]
-                cps_sel = shared._cps[:n]
-                alphas = shared.alphas(n)
-            else:
-                cms_sel, cps_sel = self.cluster.costs_for(order[:n])
-                alphas = _alphas_vec(cms_sel, cps_sel)
-            exec_time = float(
-                sigma * (alphas * cms_sel).sum()
-                + alphas[-1] * sigma * cps_sel[-1]
-            )
-            completion = rn + exec_time
-            if not feasible_by(completion, task.absolute_deadline):
-                return None
-        return _BatchEntry(
-            task,
-            ids=order[:n].copy(),
-            completion=float(completion),
-            releases=releases,
-            alphas=alphas,
-            opr_rn=rn,
-        )
+        completion, alphas, opr_rn = placed
+        return _BatchEntry(task, ids, completion, releases, alphas, opr_rn)
 
     def _entry_cached(
         self,
         task: DivisibleTask,
-        order: "NDArray[np.intp]",
-        sorted_avail: "NDArray[np.float64]",
+        order: list[int],
+        floored: list[float],
         n: int,
         shared=None,
     ) -> _BatchEntry | None:
@@ -568,8 +492,9 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
         changed — hitting here skips the placement arithmetic entirely.
         """
         if not self._memo_enabled:
-            return self._entry(task, order, sorted_avail, n, shared)
-        key = (n, order[:n].tobytes(), sorted_avail[:n].tobytes())
+            return self._entry(task, order, floored, n, shared)
+        ids = tuple(order[:n])
+        key = (ids, tuple([floored[i] for i in ids]))
         cache = self._plan_cache.get(task.task_id)
         if cache is not None:
             hit = cache.get(key)
@@ -577,7 +502,7 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
                 if self._tier2_hits is not None:
                     self._tier2_pending += 1
                 return hit
-        entry = self._entry(task, order, sorted_avail, n, shared)
+        entry = self._entry(task, order, floored, n, shared)
         if entry is not None:
             if cache is None:
                 cache = self._plan_cache[task.task_id] = {}
@@ -591,27 +516,21 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
         plan = entry.plan
         if plan is not None:
             return plan
-        releases_t = tuple(entry.releases.tolist())
-        alphas = entry.alphas
-        if entry.opr_rn is None:
-            dispatch = releases_t
-        else:
-            dispatch = (entry.opr_rn,) * len(releases_t)
-            if alphas is None:
-                alphas = dlt.opr_alphas(len(releases_t), self._cms, self._cps)
+        releases_t = tuple(entry.releases)
+        opr_rn = entry.opr_rn
         plan = _trusted_plan(
             entry.task,
             self.partitioner.method,
-            tuple(entry.ids_list),
+            tuple(entry.ids),
             releases_t,
-            dispatch,
-            tuple(alphas.tolist()),
+            releases_t if opr_rn is None else (opr_rn,) * len(releases_t),
+            tuple(entry.alphas),
             entry.completion,
         )
         entry.plan = plan
         return plan
 
-    # -- placements (entry builder ``self._entry`` = DLT-IIT or OPR) ------
+    # -- placements (kernel ``self._kernel`` = DLT-IIT or OPR) -------------
     def _place_paper_rule(
         self,
         task: DivisibleTask,
@@ -623,8 +542,8 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
         n_req = self._node_count_token(task, now) if token is _UNSET else token
         if n_req is None:
             return _BatchEntry(task)
-        order, sorted_avail = self._candidates_batch(task, temp, now)
-        entry = self._entry_cached(task, order, sorted_avail, n_req)
+        order, floored = self._candidates(task, temp, now)
+        entry = self._entry_cached(task, order, floored, n_req)
         if entry is None:
             return _BatchEntry(task, n_req=n_req)
         entry.n_req = n_req
@@ -638,8 +557,8 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
         token: object = _UNSET,
     ) -> _BatchEntry:
         """"-AN" variants: always the whole cluster, exact feasibility."""
-        order, sorted_avail = self._candidates_batch(task, temp, now)
-        entry = self._entry_cached(task, order, sorted_avail, self._n)
+        order, floored = self._candidates(task, temp, now)
+        entry = self._entry_cached(task, order, floored, self._n)
         return entry if entry is not None else _BatchEntry(task)
 
     def _place_fixed_point(
@@ -653,12 +572,12 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
 
         The scan logic (start at the first satisfiable ``k``, jump to
         ``n_req``, skip failed ``n_req`` repeats, stop at ``None``) is the
-        fast engine's, applied to the vectorized bound vector — same
+        fast engine's, applied to the precomputed bound vector — same
         accepted plan, same rejection.
         """
-        order, sorted_avail = self._candidates_batch(task, temp, now)
+        order, floored = self._candidates(task, temp, now)
         shared = self._shared_prefix(order)
-        bounds = self._fixed_point_bounds(task, sorted_avail)
+        bounds = self._fixed_point_bounds(task, order, floored)
         big_n = self._n
         failed_n = 0
         k = 1
@@ -670,7 +589,7 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
                 k = n_req
                 continue
             if n_req > failed_n:
-                entry = self._entry_cached(task, order, sorted_avail, n_req, shared)
+                entry = self._entry_cached(task, order, floored, n_req, shared)
                 if entry is not None:
                     return entry
                 failed_n = n_req
@@ -690,9 +609,7 @@ class BatchSchedulabilityTest(FastSchedulabilityTest):
         if plan is None:
             return _BatchEntry(task)
         entry = _BatchEntry(
-            task,
-            ids=np.asarray(plan.node_ids, dtype=np.intp),
-            completion=plan.est_completion,
+            task, ids=list(plan.node_ids), completion=plan.est_completion
         )
         entry.plan = plan
         return entry

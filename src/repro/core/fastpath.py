@@ -25,12 +25,19 @@ output bit:
    load it almost always is), the whole prefix replays as cache hits.  The
    same mechanism makes a fleet probe followed by a routed submission cost
    one test instead of two.
-2. **Specialized placement kernels** — the DLT-IIT and OPR placement paths
-   are re-implemented with the *same arithmetic operations in the same
-   order* as :func:`repro.core.het_model.build_model` /
-   :func:`repro.core.dlt.het_alphas` (so results are bitwise equal) but
-   without the per-call validation, intermediate dataclasses and redundant
-   array materializations of the reference path.
+2. **Scalar placement kernels** — the DLT-IIT and OPR placement paths
+   are re-implemented on Python floats with the *same arithmetic
+   operations in the same order* as
+   :func:`repro.core.het_model.build_model` /
+   :func:`repro.core.dlt.het_alphas` (so results are bitwise equal), and
+   without the per-call validation, intermediate dataclasses and NumPy
+   dispatch of the reference path.  Every cluster has a handful of
+   nodes, where a NumPy call costs more than the arithmetic it runs.
+   Exactness rests on four facts: IEEE-754 element-wise operations round
+   the same in NumPy and Python; ``sorted`` is the stable argsort (a
+   ``(floored, tiebreak)`` key is ``np.lexsort``); ``np.cumprod`` is a
+   sequential product; and :func:`_pairwise_sum` replays
+   ``np.add.reduce``'s summation order.
 3. **Monotonicity-aware candidate search** — the ``fixed_point_node_count``
    ablation's ``k = 1..N`` scan exploits that the node-count bound is
    non-decreasing in ``k``: the scan starts at the ``ñ_min`` lower bound,
@@ -169,12 +176,6 @@ def make_admission_test(
     )
 
 
-#: Shared ``alphas`` vector for single-node placements (``het_alphas`` on one
-#: node returns ``np.ones(1)``; the value is constant, so one frozen array
-#: serves every caller).
-_ONES1 = np.ones(1)
-_ONES1.flags.writeable = False
-
 #: Sentinel marking "node-count token not precomputed" in placement calls.
 _UNSET = object()
 
@@ -209,38 +210,75 @@ def _trusted_plan(
     return plan
 
 
-def _prefix_alphas_scalar_cms(cms: float, cps_eff: "NDArray[np.float64]"):
-    """Equal-finish fractions for a uniform link cost (Eq. 4-5).
+def _pairwise_sum(v: list[float]) -> float:
+    """``np.add.reduce`` of ``v`` on Python floats, bit for bit.
 
-    Bitwise-identical to ``dlt.het_alphas(np.full(n, cms), cps_eff)``:
-    adding the scalar ``cms`` element-wise equals adding the uniform vector.
+    NumPy sums a contiguous float64 vector pairwise: sequentially below 8
+    elements; up to 128 in eight interleaved lanes folded as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` plus a sequential tail; and
+    above that by recursive halving at a multiple of 8.  The reduction
+    starts from the identity ``0.0``.  Replaying that order makes every
+    sum here equal the one the reference computes.
     """
-    n = cps_eff.shape[0]
-    if n == 1:
-        return _ONES1
-    x = cps_eff[:-1] / (cms + cps_eff[1:])
-    prods = np.cumprod(x)
-    denom = 1.0 + prods.sum()
-    alphas = np.empty(n)
-    alphas[0] = 1.0 / denom
-    alphas[1:] = prods / denom
-    return alphas
+    n = len(v)
+    if n < 8:
+        res = 0.0
+        for x in v:
+            res += x
+        return res
+    return 0.0 + _pairwise_block(v, 0, n)
 
 
-def _alphas_vec(
-    cms_vec: "NDArray[np.float64]", cps_vec: "NDArray[np.float64]"
-) -> "NDArray[np.float64]":
-    """``dlt.het_alphas`` minus input validation (bitwise-identical ops)."""
-    n = cms_vec.shape[0]
-    if n == 1:
-        return _ONES1
-    x = cps_vec[:-1] / (cms_vec[1:] + cps_vec[1:])
-    prods = np.cumprod(x)
-    denom = 1.0 + prods.sum()
-    alphas = np.empty(n)
-    alphas[0] = 1.0 / denom
-    alphas[1:] = prods / denom
-    return alphas
+def _pairwise_block(v: list[float], lo: int, n: int) -> float:
+    """NumPy's pairwise kernel on ``v[lo:lo + n]`` for ``n >= 8``."""
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = v[lo : lo + 8]
+        end = lo + n - n % 8
+        for i in range(lo + 8, end, 8):
+            r0 += v[i]
+            r1 += v[i + 1]
+            r2 += v[i + 2]
+            r3 += v[i + 3]
+            r4 += v[i + 4]
+            r5 += v[i + 5]
+            r6 += v[i + 6]
+            r7 += v[i + 7]
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for i in range(end, lo + n):
+            res += v[i]
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise_block(v, lo, n2) + _pairwise_block(v, lo + n2, n - n2)
+
+
+def _ratio_products(cms: list[float], cps: list[float]) -> list[float]:
+    """Running products of ``X_i = Cps_{i-1} / (Cms_i + Cps_i)``, i >= 2
+    (``np.cumprod`` is a sequential product, and ``1.0 * X_2 == X_2``)."""
+    prods = []
+    p = 1.0
+    for i in range(1, len(cps)):
+        p *= cps[i - 1] / (cms[i] + cps[i])
+        prods.append(p)
+    return prods
+
+
+def _normalized(prods: list[float]) -> list[float]:
+    """``[1, *prods] / (1 + sum(prods))`` — the fractions of Eq. 4-5."""
+    denom = 1.0 + _pairwise_sum(prods)
+    return [1.0 / denom] + [q / denom for q in prods]
+
+
+def _alphas(cms: list[float], cps: list[float]) -> list[float]:
+    """Equal-finish fractions (Eq. 4-5): ``dlt.het_alphas`` on floats."""
+    if len(cps) == 1:
+        return [1.0]
+    return _normalized(_ratio_products(cms, cps))
+
+
+def _dot_sum(a: list[float], b: list[float]) -> float:
+    """``(a * b).sum()`` as NumPy computes it."""
+    return _pairwise_sum([x * y for x, y in zip(a, b)])
 
 
 class _SharedPrefixAlphas:
@@ -248,36 +286,27 @@ class _SharedPrefixAlphas:
 
     The heterogeneous recurrence ratios ``X_i = Cps_{i-1}/(Cms_i + Cps_i)``
     depend only on the intrinsic costs of the ordered candidates, so every
-    candidate prefix of the ``fixed_point_node_count`` scan shares one ratio
-    vector and one cumulative product.  A prefix of ``cumprod`` *is* the
-    cumprod of the prefix (the accumulation is sequential) and NumPy's
-    pairwise summation depends only on the summed values, so
-    :meth:`alphas` is bitwise-identical to ``dlt.het_alphas`` on the prefix
-    while computing the shared parts once.
+    candidate prefix of the ``fixed_point_node_count`` scan shares one
+    running product.  A prefix of a sequential product *is* the product
+    of the prefix, and the normalizer's pairwise sum depends only on the
+    summed values, so :meth:`alphas` equals :func:`_alphas` on the prefix
+    (and so ``dlt.het_alphas``) while computing the shared part once.
     """
 
-    __slots__ = ("_cms", "_cps", "_prods")
+    __slots__ = ("cms", "cps", "_prods")
 
-    def __init__(
-        self, cms_vec: "NDArray[np.float64]", cps_vec: "NDArray[np.float64]"
-    ) -> None:
-        self._cms = cms_vec
-        self._cps = cps_vec
-        self._prods: "NDArray[np.float64] | None" = None
+    def __init__(self, cms: list[float], cps: list[float]) -> None:
+        self.cms = cms
+        self.cps = cps
+        self._prods: list[float] | None = None
 
-    def alphas(self, n: int) -> "NDArray[np.float64]":
+    def alphas(self, n: int) -> list[float]:
         """Fractions for the first ``n`` candidates (``het_alphas`` bitwise)."""
         if n == 1:
-            return _ONES1
+            return [1.0]
         if self._prods is None:
-            x = self._cps[:-1] / (self._cms[1:] + self._cps[1:])
-            self._prods = np.cumprod(x)
-        prods = self._prods[: n - 1]
-        denom = 1.0 + prods.sum()
-        alphas = np.empty(n)
-        alphas[0] = 1.0 / denom
-        alphas[1:] = prods / denom
-        return alphas
+            self._prods = _ratio_products(self.cms, self.cps)
+        return _normalized(self._prods[: n - 1])
 
 
 class _MemoEntry:
@@ -290,7 +319,7 @@ class _MemoEntry:
         key: bytes,
         n_req: int | None,
         plan: PlacementPlan | None,
-        ids: "NDArray[np.intp] | None",
+        ids: list[int] | None,
     ) -> None:
         self.key = key
         self.n_req = n_req
@@ -433,8 +462,15 @@ class FastSchedulabilityTest:
             self._exec_coeff = ()
             self._cost_sum = 0.0
 
+        #: Per-node intrinsic costs by node id, as Python floats for the
+        #: scalar kernels (uniform lists on a homogeneous cluster).
+        self._cms_l: list[float] = cluster.cms_array.tolist()
+        self._cps_l: list[float] = cluster.cps_array.tolist()
+        #: Homogeneous OPR fractions by node count, ``dlt.opr_alphas``
+        #: itself evaluated once per ``n`` on first use (they depend on
+        #: nothing else).
+        self._opr_alphas: list[tuple[float, ...] | None] = [None] * (self._n + 1)
         self._temp = np.empty(self._n, dtype=np.float64)
-        self._floored = np.empty(self._n, dtype=np.float64)
         self._memo: dict[int, _MemoEntry] = {}
         #: Last computed queue order (policy-sorted), reused incrementally.
         self._order_cache: list[DivisibleTask] | None = None
@@ -445,25 +481,23 @@ class FastSchedulabilityTest:
         self._delegate: SchedulabilityTest | None = None
         self._fallback_test: SchedulabilityTest | None = None
 
-        self._node_order = getattr(partitioner, "node_order", "availability")
-        self._order_avail = self._node_order == "availability"
-        if self._order_avail:
-            self._tiebreak = None
-        else:
-            self._tiebreak = (
-                cluster.cps_array
-                if self._node_order == "fastest-first"
-                else cluster.cms_array
-            )
+        node_order = getattr(partitioner, "node_order", "availability")
+        #: Per-node tie-break key among equally available candidates
+        #: (``None``: node id, the paper's order).
+        self._tiebreak: list[float] | None = (
+            None
+            if node_order == "availability"
+            else self._cps_l if node_order == "fastest-first" else self._cms_l
+        )
 
         place: Callable[..., _MemoEntry] | None = None
-        #: Entry builder of the specialized kernels: DLT-IIT or OPR.
-        self._entry: Callable[..., _MemoEntry | None] | None = None
+        #: Placement kernel of the specialized partitioners: DLT-IIT or OPR.
+        self._kernel: Callable[..., tuple | None] | None = None
         if type(partitioner) in (DltIitPartitioner, OprPartitioner):
-            self._entry = (
-                self._dlt_entry
+            self._kernel = (
+                self._dlt_kernel
                 if type(partitioner) is DltIitPartitioner
-                else self._opr_entry
+                else self._opr_kernel
             )
             if partitioner.assign_all_nodes:
                 place = self._place_all_nodes
@@ -638,7 +672,12 @@ class FastSchedulabilityTest:
                 key = temp.tobytes()
                 cached = memo.get(tid)
                 if cached is not None and cached.key == key:
-                    if token_fn is None:
+                    win = cached.ckpt_win
+                    if token_fn is None or (
+                        win is not None and win[0] <= now <= win[1]
+                    ):
+                        # Inside the cached window the node-count token
+                        # is certainly the stored one (_ckpt_window).
                         entry = cached
                     else:
                         token = token_fn(task, now)
@@ -690,7 +729,9 @@ class FastSchedulabilityTest:
                 return AdmissionDecision(
                     accepted=False, plans={}, failed_task_id=tid
                 )
-            temp[entry.ids] = plan.est_completion
+            completion = plan.est_completion
+            for node in entry.ids:
+                temp[node] = completion
             plans[tid] = plan
             if ckpt_on:
                 side.append((task, entry, plan.node_ids, plan.est_completion))
@@ -793,7 +834,10 @@ class FastSchedulabilityTest:
             key = temp.tobytes()
             hit = memo.get(tid)
             if hit is not None and hit.key == key:
-                if self._token is None:
+                win = hit.ckpt_win
+                if self._token is None or (
+                    win is not None and win[0] <= now <= win[1]
+                ):
                     entry = hit
                 else:
                     token = self._token(new_task, now)
@@ -962,14 +1006,9 @@ class FastSchedulabilityTest:
             np.copyto(temp, self._ckpt_snap[full - 1])
             i0 = full * _CKPT_STRIDE
         for i in range(i0, k):
-            item = items[i]
-            ids = item[2]
-            completion = item[3]
-            if len(ids) <= 4:
-                for node in ids:
-                    temp[node] = completion
-            else:
-                temp[item[1].ids] = completion
+            _, _, ids, completion = items[i]
+            for node in ids:
+                temp[node] = completion
         return k
 
     def _ckpt_token_prefix(self, k: int, now: float) -> int:
@@ -1071,14 +1110,9 @@ class FastSchedulabilityTest:
             full = k // stride
             np.copyto(run, snap[full - 1] if full else self._ckpt_base)
             for i in range(full * stride, k):
-                item = items[i]
-                ids = item[2]
-                completion = item[3]
-                if len(ids) <= 4:
-                    for node in ids:
-                        run[node] = completion
-                else:
-                    run[item[1].ids] = completion
+                _, _, ids, completion = items[i]
+                for node in ids:
+                    run[node] = completion
         push = self._token is not None
         if push:
             if k:
@@ -1094,13 +1128,9 @@ class FastSchedulabilityTest:
             items.append(item)
             tids.append(item[0].task_id)
             if need_rows:
-                ids = item[2]
                 completion = item[3]
-                if len(ids) <= 4:
-                    for node in ids:
-                        run[node] = completion
-                else:
-                    run[item[1].ids] = completion
+                for node in item[2]:
+                    run[node] = completion
             if push:
                 entry = item[1]
                 win = entry.ckpt_win
@@ -1287,132 +1317,162 @@ class FastSchedulabilityTest:
             task.sigma, task.arrival + task.deadline - t_test
         )
 
-    # -- shared placement plumbing ---------------------------------------
+    # -- scalar placement kernels ------------------------------------------
     def _candidates(
-        self, task: DivisibleTask, avail: "NDArray[np.float64]"
-    ) -> tuple["NDArray[np.intp]", "NDArray[np.float64]"]:
-        """Floored + ordered candidates, exactly as the reference ``place``
-        (:func:`repro.core.partition.sorted_candidates`) computes them."""
-        floored = self._floored
-        np.maximum(avail, task.arrival, out=floored)
-        if self._order_avail:
-            order = floored.argsort(kind="stable")
-        else:
-            order = np.lexsort((self._tiebreak, floored))
-        return order, floored[order]
+        self, task: DivisibleTask, avail: "NDArray[np.float64]", now: float
+    ) -> tuple[list[int], list[float]]:
+        """Candidate order and floored availability, as the reference
+        ``place`` (:func:`repro.core.partition.sorted_candidates`) has them.
 
-    def _dlt_completion(
-        self,
-        sigma: float,
-        order_n: "NDArray[np.intp]",
-        releases: "NDArray[np.float64]",
-        shared: _SharedPrefixAlphas | None = None,
-    ) -> tuple[float, "NDArray[np.float64]"]:
-        """Eq. 4-7 over the chosen nodes — ``build_model`` bitwise, minus
-        validation and the intermediate :class:`HeterogeneousModel`."""
-        n = releases.shape[0]
-        rn = float(releases[-1])
-        if self._homog:
-            cms, cps = self._cms, self._cps
-            e = self._exec_coeff[n - 1] * sigma * self._cost_sum
-            iit = rn - releases
-            cps_eff = (e / (e + iit)) * cps
-            alphas = _prefix_alphas_scalar_cms(cms, cps_eff)
-            exec_time = sigma * cms + float(alphas[-1]) * sigma * cps
+        Returns ``(order, floored)``: node ids sorted by availability
+        (ties per the node order), and the per-node availability floored
+        at the task's arrival.  ``avail`` is the walk's scratch vector,
+        already floored at ``now``, so the arrival floor only changes it
+        when the task arrives after ``now`` (direct callers only; the
+        simulators never do).  ``sorted`` is stable, so it returns
+        ``argsort(kind="stable")``; with a tie-break the key
+        ``(floored, tiebreak)`` is ``np.lexsort((tiebreak, floored))``.
+        """
+        floored = avail.tolist()
+        arrival = task.arrival
+        if arrival > now:
+            floored = [v if v > arrival else arrival for v in floored]
+        tiebreak = self._tiebreak
+        if tiebreak is None:
+            order = sorted(range(self._n), key=floored.__getitem__)
         else:
-            if shared is not None:
-                cms_vec = shared._cms[:n]
-                cps_vec = shared._cps[:n]
-                a0 = shared.alphas(n)
-            else:
-                cms_vec, cps_vec = self.cluster.costs_for(order_n)
-                a0 = _alphas_vec(cms_vec, cps_vec)
-            e = float(
-                sigma * (a0 * cms_vec).sum() + a0[-1] * sigma * cps_vec[-1]
+            order = sorted(
+                range(self._n), key=lambda i: (floored[i], tiebreak[i])
             )
-            iit = rn - releases
-            cps_eff = (e / (e + iit)) * cps_vec
-            alphas = _alphas_vec(cms_vec, cps_eff)
-            exec_time = float(
-                sigma * (alphas * cms_vec).sum()
-                + float(alphas[-1]) * sigma * float(cps_vec[-1])
-            )
-        return rn + exec_time, alphas
+        return order, floored
 
-    def _dlt_entry(
+    def _costs(
+        self, ids: list[int], shared: _SharedPrefixAlphas | None
+    ) -> tuple[list[float], list[float], list[float]]:
+        """Intrinsic ``(Cms, Cps)`` of the chosen nodes, in availability
+        order, and their equal-finish fractions (heterogeneous clusters)."""
+        if shared is not None:
+            n = len(ids)
+            return shared.cms[:n], shared.cps[:n], shared.alphas(n)
+        cms_l = self._cms_l
+        cps_l = self._cps_l
+        cms = [cms_l[i] for i in ids]
+        cps = [cps_l[i] for i in ids]
+        return cms, cps, _alphas(cms, cps)
+
+    def _dlt_kernel(
         self,
         task: DivisibleTask,
-        order: "NDArray[np.intp]",
-        sorted_avail: "NDArray[np.float64]",
-        n: int,
+        ids: list[int],
+        releases: list[float],
         shared: _SharedPrefixAlphas | None = None,
-    ) -> _MemoEntry | None:
-        """Build a DLT-IIT plan for ``n`` nodes; ``None`` if infeasible."""
-        releases = sorted_avail[:n]
-        completion, alphas = self._dlt_completion(
-            task.sigma, order[:n], releases, shared
+    ) -> tuple | None:
+        """DLT-IIT placement on the chosen nodes (Eq. 1, 4-7).
+
+        ``build_model`` bitwise, minus validation and the intermediate
+        :class:`~repro.core.het_model.HeterogeneousModel`.  Returns
+        ``(completion, alphas, None)``, or ``None`` when the completion
+        misses the deadline.
+        """
+        sigma = task.sigma
+        n = len(releases)
+        rn = releases[-1]
+        if self._homog:
+            cms = self._cms
+            cps = self._cps
+            if n == 1:
+                alphas = [1.0]
+            else:
+                # Eq. 1 speedups and the Eq. 4-5 ratios in one pass:
+                # X_i = Cps_{i-1}^eff / (Cms + Cps_i^eff).
+                e = self._exec_coeff[n - 1] * sigma * self._cost_sum
+                prev = (e / (e + (rn - releases[0]))) * cps
+                prods = []
+                p = 1.0
+                for i in range(1, n):
+                    eff = (e / (e + (rn - releases[i]))) * cps
+                    p *= prev / (cms + eff)
+                    prods.append(p)
+                    prev = eff
+                alphas = _normalized(prods)
+            exec_time = sigma * cms + alphas[-1] * sigma * cps
+        else:
+            cms_v, cps_v, a0 = self._costs(ids, shared)
+            e = sigma * _dot_sum(a0, cms_v) + a0[-1] * sigma * cps_v[-1]
+            cps_eff = [
+                (e / (e + (rn - r))) * c for r, c in zip(releases, cps_v)
+            ]
+            alphas = _alphas(cms_v, cps_eff)
+            exec_time = (
+                sigma * _dot_sum(alphas, cms_v) + alphas[-1] * sigma * cps_v[-1]
+            )
+        completion = rn + exec_time
+        if not feasible_by(completion, task.absolute_deadline):
+            return None
+        return completion, alphas, None
+
+    def _opr_kernel(
+        self,
+        task: DivisibleTask,
+        ids: list[int],
+        releases: list[float],
+        shared: _SharedPrefixAlphas | None = None,
+    ) -> tuple | None:
+        """OPR placement: simultaneous start at ``r_n`` on the chosen nodes.
+
+        Returns ``(completion, alphas, r_n)``, or ``None`` when the
+        completion misses the deadline.
+        """
+        sigma = task.sigma
+        n = len(releases)
+        rn = releases[-1]
+        if self._homog:
+            completion = rn + self._exec_coeff[n - 1] * sigma * self._cost_sum
+            if not feasible_by(completion, task.absolute_deadline):
+                return None
+            alphas = self._opr_alphas[n]
+            if alphas is None:
+                alphas = self._opr_alphas[n] = tuple(
+                    dlt.opr_alphas(n, self._cms, self._cps).tolist()
+                )
+            return completion, alphas, rn
+        cms_v, cps_v, alphas = self._costs(ids, shared)
+        completion = rn + (
+            sigma * _dot_sum(alphas, cms_v) + alphas[-1] * sigma * cps_v[-1]
         )
         if not feasible_by(completion, task.absolute_deadline):
             return None
-        release_t = tuple(releases.tolist())
-        ids = order[:n].copy()
-        plan = _trusted_plan(
-            task,
-            self.partitioner.method,
-            tuple(ids.tolist()),
-            release_t,
-            release_t,
-            tuple(alphas.tolist()),
-            float(completion),
-        )
-        return _MemoEntry(b"", None, plan, ids)
+        return completion, alphas, rn
 
-    def _opr_entry(
+    def _entry(
         self,
         task: DivisibleTask,
-        order: "NDArray[np.intp]",
-        sorted_avail: "NDArray[np.float64]",
+        order: list[int],
+        floored: list[float],
         n: int,
         shared: _SharedPrefixAlphas | None = None,
     ) -> _MemoEntry | None:
-        """Build an OPR plan for ``n`` nodes; ``None`` if infeasible."""
-        sigma = task.sigma
-        releases = sorted_avail[:n]
-        rn = float(releases[-1])
-        if self._homog:
-            exec_time = self._exec_coeff[n - 1] * sigma * self._cost_sum
-            completion = rn + exec_time
-            if not feasible_by(completion, task.absolute_deadline):
-                return None
-            alphas = dlt.opr_alphas(n, self._cms, self._cps)
-        else:
-            if shared is not None:
-                cms_sel = shared._cms[:n]
-                cps_sel = shared._cps[:n]
-                alphas = shared.alphas(n)
-            else:
-                cms_sel, cps_sel = self.cluster.costs_for(order[:n])
-                alphas = _alphas_vec(cms_sel, cps_sel)
-            exec_time = float(
-                sigma * (alphas * cms_sel).sum()
-                + alphas[-1] * sigma * cps_sel[-1]
-            )
-            completion = rn + exec_time
-            if not feasible_by(completion, task.absolute_deadline):
-                return None
-        ids = order[:n].copy()
+        """Place ``task`` on the first ``n`` candidates; ``None`` if
+        infeasible.  The kernel is DLT-IIT or OPR per the partitioner."""
+        ids = order[:n]
+        releases = [floored[i] for i in ids]
+        placed = self._kernel(task, ids, releases, shared)
+        if placed is None:
+            return None
+        completion, alphas, opr_rn = placed
+        release_t = tuple(releases)
         plan = _trusted_plan(
             task,
             self.partitioner.method,
-            tuple(ids.tolist()),
-            tuple(releases.tolist()),
-            (rn,) * n,
-            tuple(alphas.tolist()),
-            float(completion),
+            tuple(ids),
+            release_t,
+            release_t if opr_rn is None else (opr_rn,) * n,
+            tuple(alphas),
+            completion,
         )
         return _MemoEntry(b"", None, plan, ids)
 
-    # -- placements (entry builder ``self._entry`` = DLT-IIT or OPR) ------
+    # -- placements (kernel ``self._kernel`` = DLT-IIT or OPR) -------------
     def _place_paper_rule(
         self,
         task: DivisibleTask,
@@ -1426,8 +1486,8 @@ class FastSchedulabilityTest:
         )
         if n_req is None:
             return _MemoEntry(b"", None, None, None)
-        order, sorted_avail = self._candidates(task, avail)
-        entry = self._entry(task, order, sorted_avail, n_req)
+        order, floored = self._candidates(task, avail, now)
+        entry = self._entry(task, order, floored, n_req)
         if entry is None:
             return _MemoEntry(b"", n_req, None, None)
         entry.n_req = n_req
@@ -1441,8 +1501,8 @@ class FastSchedulabilityTest:
         token: object = _UNSET,
     ) -> _MemoEntry:
         """"-AN" variants: always the whole cluster, exact feasibility."""
-        order, sorted_avail = self._candidates(task, avail)
-        entry = self._entry(task, order, sorted_avail, self._n)
+        order, floored = self._candidates(task, avail, now)
+        entry = self._entry(task, order, floored, self._n)
         return entry if entry is not None else _MemoEntry(b"", None, None, None)
 
     def _place_fixed_point(
@@ -1456,8 +1516,8 @@ class FastSchedulabilityTest:
 
         The reference scans ``k = 1..N`` evaluating the node-count bound
         at each candidate start time and trying a placement whenever
-        ``n_req <= k``.  Because ``sorted_avail`` is non-decreasing the
-        bound is non-decreasing in ``k``, which licenses three exact
+        ``n_req <= k``.  Because the sorted availability is non-decreasing
+        the bound is non-decreasing in ``k``, which licenses three exact
         shortcuts (the accepted plan is unchanged): start at the first
         ``k`` that can satisfy ``n_req <= k``, jump ``k`` straight to
         ``n_req`` whenever the bound exceeds it, and skip repeated
@@ -1465,17 +1525,17 @@ class FastSchedulabilityTest:
         depends on ``n_req`` alone, not ``k``).  ``None`` from the bound
         is terminal: the budget only shrinks as ``k`` grows.
         """
-        order, sorted_avail = self._candidates(task, avail)
+        order, floored = self._candidates(task, avail, now)
         shared = self._shared_prefix(order)
         tracer = self._tracer
         scanned = 0
         big_n = self._n
         failed_n = 0
+        absdl = task.arrival + task.deadline
         k = 1
         while k <= big_n:
             n_req = self._min_nodes_worst(
-                task.sigma,
-                task.arrival + task.deadline - float(sorted_avail[k - 1]),
+                task.sigma, absdl - floored[order[k - 1]]
             )
             if n_req is None:
                 break
@@ -1485,7 +1545,7 @@ class FastSchedulabilityTest:
             if n_req > failed_n:
                 if tracer is not None:
                     scanned += 1
-                entry = self._entry(task, order, sorted_avail, n_req, shared)
+                entry = self._entry(task, order, floored, n_req, shared)
                 if entry is not None:
                     if tracer is not None:
                         tracer.event(
@@ -1510,14 +1570,15 @@ class FastSchedulabilityTest:
             )
         return _MemoEntry(b"", None, None, None)
 
-    def _shared_prefix(
-        self, order: "NDArray[np.intp]"
-    ) -> _SharedPrefixAlphas | None:
-        """Shared prefix-cumprod helper for heterogeneous scans."""
+    def _shared_prefix(self, order: list[int]) -> _SharedPrefixAlphas | None:
+        """Shared prefix-product helper for heterogeneous scans."""
         if self._homog:
             return None
-        cms_vec, cps_vec = self.cluster.costs_for(order)
-        return _SharedPrefixAlphas(cms_vec, cps_vec)
+        cms_l = self._cms_l
+        cps_l = self._cps_l
+        return _SharedPrefixAlphas(
+            [cms_l[i] for i in order], [cps_l[i] for i in order]
+        )
 
     # -- stochastic / generic partitioners --------------------------------
     def _place_via_partitioner(
@@ -1531,6 +1592,4 @@ class FastSchedulabilityTest:
         plan = self.partitioner.place(task, avail, self.cluster, now)
         if plan is None:
             return _MemoEntry(b"", None, None, None)
-        return _MemoEntry(
-            b"", None, plan, np.asarray(plan.node_ids, dtype=np.intp)
-        )
+        return _MemoEntry(b"", None, plan, list(plan.node_ids))

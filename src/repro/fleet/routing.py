@@ -62,11 +62,12 @@ class ClusterView:
         time unit with every node busy (the ``random-weighted`` weights).
     outstanding:
         Admitted-but-unfinished tasks (waiting + running) on this cluster.
-    backlog:
-        Mean reserved node-time beyond ``now`` (how far ahead the
-        cluster's nodes are committed).
-    busy_time:
-        Actual link+CPU occupancy accumulated so far (node-time units).
+    backlog_fn:
+        Zero-argument callable returning :attr:`backlog`.  The snapshot
+        holds the computation rather than its value because most
+        policies never read it: only ``least-loaded``, the
+        ``earliest-finish`` fallback and learning feedback do, all before
+        the routed task is submitted.
     probe:
         ``probe(task)`` runs the cluster's own schedulability test as a
         what-if and returns the estimated completion time the cluster
@@ -89,10 +90,15 @@ class ClusterView:
     nodes: int
     capacity: float
     outstanding: int
-    backlog: float
-    busy_time: float
+    backlog_fn: Callable[[], float]
     probe: Callable[[DivisibleTask], float | None]
     up: bool = True
+
+    @property
+    def backlog(self) -> float:
+        """Mean reserved node-time beyond ``now`` (how far ahead the
+        cluster's nodes are committed), computed on each read."""
+        return self.backlog_fn()
 
 
 class RoutingPolicy(ABC):

@@ -263,11 +263,13 @@ class FleetSimulation:
         """Snapshot member ``index`` for one routing decision."""
         sim = self.sims[index]
         scheduler = sim.scheduler
-        release = scheduler.reservations.release_times
-        # arr.sum()/n is np.mean minus the dispatch wrapper (same pairwise
-        # reduction, bit-identical value) — this runs per member per task.
-        over = np.maximum(release - now, 0.0)
-        backlog = float(over.sum() / over.size)
+
+        def backlog() -> float:
+            """Mean reserved node-time beyond ``now`` (read lazily)."""
+            # arr.sum()/n is np.mean minus the dispatch wrapper (same
+            # pairwise reduction, bit-identical value).
+            over = np.maximum(scheduler.reservations.release_times - now, 0.0)
+            return float(over.sum() / over.size)
 
         def probe(task: DivisibleTask, _sim: ClusterSimulation = sim) -> float | None:
             """What-if admission: the cluster's estimate, or None on reject."""
@@ -298,17 +300,17 @@ class FleetSimulation:
             nodes=sim.cluster.nodes,
             capacity=self._capacities[index],
             outstanding=scheduler.waiting_count + scheduler.running_count,
-            backlog=backlog,
-            busy_time=sim.busy_time,
+            backlog_fn=backlog,
             probe=probe,
             up=self._is_up(index, now),
         )
 
     # -- learning feedback --------------------------------------------------
     def _admission_feedback(
-        self, task: DivisibleTask, index: int, view: ClusterView
+        self, task: DivisibleTask, index: int, outstanding: int, backlog: float
     ) -> None:
-        """Report the routed task's admission outcome to the policy."""
+        """Report the routed task's admission outcome to the policy, with
+        the member's pre-submit ``outstanding`` and ``backlog``."""
         record = self.sims[index].scheduler.records.get(task.task_id)
         accepted = record is not None and record.outcome is TaskOutcome.ACCEPTED
         self.policy.observe(
@@ -321,8 +323,8 @@ class FleetSimulation:
                 deadline=task.deadline,
                 accepted=accepted,
                 est_completion=record.est_completion if record else None,
-                outstanding=view.outstanding,
-                backlog=view.backlog,
+                outstanding=outstanding,
+                backlog=backlog,
             )
         )
         if accepted and self._track_completions:
@@ -426,12 +428,19 @@ class FleetSimulation:
         self._routed_counters[index].inc()
         self._routed[task.task_id] = index
         target = self.sims[index]
+        learns = self.policy.learns
+        if learns:
+            # Feedback reports the backlog the router saw, so read it
+            # before the submission moves the reservations.
+            backlog = views[index].backlog
         target.submit(task)
         # Process the arrival now so the admission decision is visible
         # to the very next routing decision (even at equal timestamps).
         target.advance_to(task.arrival)
-        if self.policy.learns:
-            self._admission_feedback(task, index, views[index])
+        if learns:
+            self._admission_feedback(
+                task, index, views[index].outstanding, backlog
+            )
         return index
 
     def advance_to(self, time: float) -> None:

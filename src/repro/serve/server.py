@@ -57,7 +57,9 @@ from repro.core.errors import InvalidParameterError, ReproError
 from repro.obs import Observability, merge_snapshots, render_prometheus
 from repro.obs.metrics import LATENCY_BUCKETS
 from repro.serve.protocol import (
+    MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
+    ServiceProtocolError,
     available_codecs,
     decode_payload,
     decode_task,
@@ -198,7 +200,12 @@ class AdmissionServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Read frames into the connection's FIFO queue until EOF."""
+        """Read frames into the connection's FIFO queue until EOF.
+
+        A header announcing more than ``MAX_FRAME_BYTES`` gets an error
+        frame and ends the connection before any of its payload is read,
+        so one bad header cannot make the server buffer gigabytes.
+        """
         conn = _Connection(writer)
         self._conns.append(conn)
         try:
@@ -208,6 +215,16 @@ class AdmissionServer:
                 except asyncio.IncompleteReadError:
                     break
                 length = int.from_bytes(header[1:5], "big")
+                if length > MAX_FRAME_BYTES:
+                    await self._send_error(
+                        conn,
+                        None,
+                        ServiceProtocolError(
+                            f"frame length {length} exceeds the "
+                            f"{MAX_FRAME_BYTES}-byte cap; closing the connection"
+                        ),
+                    )
+                    break
                 payload = await reader.readexactly(length)
                 try:
                     message = decode_payload(header[0], payload)
@@ -217,15 +234,7 @@ class AdmissionServer:
                         # poison the queue.
                         message["task"] = decode_task(message.get("task", {}))
                 except ReproError as exc:
-                    await self._send(
-                        conn,
-                        {
-                            "seq": None,
-                            "ok": False,
-                            "error": str(exc),
-                            "error_type": type(exc).__name__,
-                        },
-                    )
+                    await self._send_error(conn, None, exc)
                     continue
                 conn.queue.append(message)
                 if self.obs.tracer is not None:

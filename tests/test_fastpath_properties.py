@@ -18,13 +18,20 @@ or record).
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core import dlt
 from repro.core.admission import SchedulabilityTest
 from repro.core.algorithms import ALGORITHMS, AlgorithmInstance
 from repro.core.cluster import ClusterProfile
-from repro.core.fastpath import make_admission_test
+from repro.core.fastpath import (
+    _alphas,
+    _pairwise_sum,
+    _SharedPrefixAlphas,
+    make_admission_test,
+)
 from repro.core.partition import NODE_ORDERS, DltIitPartitioner, OprPartitioner
 from repro.core.policies import EdfPolicy, FifoPolicy
 from repro.core.reservations import NodeReservations
@@ -178,6 +185,108 @@ class TestDirectDecisions:
         assert np.array_equal(
             reservations.release_times, np.asarray(releases, dtype=np.float64)
         )
+
+
+#: Cluster sizes around the pairwise sum's 8-element lanes, up to twice
+#: the largest cluster the workloads use.
+KERNEL_SIZES = (1, 2, 7, 8, 9, 16, 17, 33)
+
+
+class TestScalarKernels:
+    """The scalar placement kernels equal the reference's NumPy arithmetic
+    bit for bit: the summation order, the equal-finish fractions, and
+    whole decision streams at every cluster size around the boundaries."""
+
+    def test_pairwise_sum_matches_numpy(self):
+        rng = np.random.default_rng(2007)
+        for n in range(1, 301):
+            for _ in range(4):
+                v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+                assert _pairwise_sum(v.tolist()).hex() == (
+                    float(np.add.reduce(v)).hex()
+                ), n
+            positive = np.abs(v)
+            assert _pairwise_sum(positive.tolist()) == positive.sum(), n
+            zeros = np.full(n, -0.0)
+            assert _pairwise_sum(zeros.tolist()).hex() == (
+                float(np.add.reduce(zeros)).hex()
+            ), n
+
+    def test_alphas_match_het_alphas(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 41):
+            cms = rng.uniform(0.5, 2.0, n)
+            cps = rng.uniform(20.0, 200.0, n)
+            expected = dlt.het_alphas(cms, cps).tolist()
+            assert _alphas(cms.tolist(), cps.tolist()) == expected
+            shared = _SharedPrefixAlphas(cms.tolist(), cps.tolist())
+            for k in range(1, n + 1):
+                assert shared.alphas(k) == dlt.het_alphas(cms[:k], cps[:k]).tolist()
+
+    @pytest.mark.parametrize("nodes", KERNEL_SIZES)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        partitioner_cls=st.sampled_from([DltIitPartitioner, OprPartitioner]),
+        variant=st.sampled_from(["paper", "all-nodes", "fixed-point"]),
+        node_order=st.sampled_from(NODE_ORDERS),
+        heterogeneous=st.booleans(),
+        fifo=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_decision_stream_matches_reference(
+        self, nodes, seed, partitioner_cls, variant, node_order, heterogeneous, fifo
+    ):
+        """Both optimized engines decide every test of a random stream as
+        the reference does.  Availabilities sit on a coarse grid, so
+        nodes tie and the stable candidate order matters; heterogeneous
+        costs are shuffled across node ids (with repeats), so the
+        fastest-first and bandwidth-first tie-breaks differ from node-id
+        order and from each other."""
+        rng = np.random.default_rng(seed)
+        if heterogeneous:
+            cluster = ClusterProfile(
+                cms_vector=tuple(rng.choice([0.5, 1.0, 1.5], nodes).tolist()),
+                cps_vector=tuple(rng.choice([60.0, 100.0, 140.0], nodes).tolist()),
+            )
+        else:
+            cluster = ClusterProfile.homogeneous(nodes, 1.0, 100.0)
+        partitioner = partitioner_cls(
+            assign_all_nodes=variant == "all-nodes",
+            fixed_point_node_count=variant == "fixed-point",
+            node_order=node_order,
+        )
+        policy = FifoPolicy() if fifo else EdfPolicy()
+        reference = SchedulabilityTest(policy, partitioner, cluster)
+        engines = [
+            make_admission_test(policy, partitioner, cluster, engine=name)
+            for name in OPTIMIZED_ENGINES
+        ]
+        reservations = NodeReservations.from_times(
+            (rng.integers(0, 4, nodes) * 50.0).tolist()
+        )
+        waiting: list[DivisibleTask] = []
+        now = 0.0
+        for task_id in range(24):
+            sigma = float(rng.uniform(20.0, 400.0))
+            task = DivisibleTask(
+                task_id=task_id,
+                # a later arrival exercises the per-task availability floor
+                arrival=now + float(rng.choice([0.0, 0.0, 0.0, 30.0])),
+                sigma=sigma,
+                deadline=float(rng.uniform(3.0, 300.0)) * sigma,
+            )
+            ref = reference.try_admit(task, waiting, reservations, now)
+            for engine in engines:
+                assert engine.try_admit(task, waiting, reservations, now) == ref
+            if ref.accepted:
+                plan = ref.plans[task_id]
+                if rng.random() < 0.4:
+                    reservations.assign(
+                        plan.node_ids, plan.est_completion, owner=task_id
+                    )
+                else:
+                    waiting.append(task)
+            now += float(rng.choice([0.0, 0.0, 25.0, 50.0]))
 
 
 class TestCheckpointInvalidation:

@@ -133,8 +133,7 @@ class TestRoutingPolicies:
                 nodes=4,
                 capacity=1.0 if capacity is None else capacity[i],
                 outstanding=0 if outstanding is None else outstanding[i],
-                backlog=0.0,
-                busy_time=0.0,
+                backlog_fn=lambda: 0.0,
                 probe=lambda task: None,
             )
             for i in range(n)

@@ -11,6 +11,7 @@ from repro.core.errors import InvalidParameterError
 from repro.experiments.batch import BatchRunner, RunSpec
 from repro.fleet import (
     FleetScenario,
+    FleetSimulation,
     make_routing_policy,
     routing_policy_names,
     simulate_fleet,
@@ -31,6 +32,7 @@ from repro.learn import (
     make_reward_model,
     reward_model_names,
 )
+from repro.learn.feedback import PHASE_ADMISSION
 from tests.test_fleet import DOCUMENTED_FLEET, small_fleet
 
 BANDITS = learning_policy_names()
@@ -286,6 +288,36 @@ class TestFleetIntegration:
         assert report.resolved == out.metrics.arrivals  # all rewards land
         assert report.cumulative_regret >= 0.0
         assert out.metrics.learning_regret == report.cumulative_regret
+
+    def test_admission_feedback_reports_pre_submit_backlog(self):
+        """The backlog in admission feedback is the one the router saw:
+        read before the routed submission reserved nodes for the task."""
+        scenario = small_fleet("thompson").with_learn(
+            LearnConfig(reward="utilization-weighted")
+        )
+        fleet = FleetSimulation(scenario, "EDF-DLT")
+        policy = fleet.policy
+        seen: dict[int, float] = {}
+        reported: dict[int, float] = {}
+        route, observe = policy.route, policy.observe
+
+        def spy_route(task, views):
+            index = route(task, views)
+            release = fleet.sims[index].scheduler.reservations.release_times
+            over = np.maximum(release - task.arrival, 0.0)
+            seen[task.task_id] = float(over.sum() / over.size)
+            return index
+
+        def spy_observe(fb):
+            if fb.phase == PHASE_ADMISSION:
+                reported[fb.task_id] = fb.backlog
+            observe(fb)
+
+        policy.route, policy.observe = spy_route, spy_observe
+        for task in scenario.stream_scenario().generate_tasks():
+            fleet.submit(task)
+        assert reported == seen
+        assert any(reported.values())
 
     def test_static_policy_has_no_learning(self):
         out = simulate_fleet(small_fleet("round-robin"), "EDF-DLT")

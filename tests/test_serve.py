@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import io
 import os
+import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -543,6 +545,30 @@ class TestErrorPaths:
                 with pytest.raises(ServiceProtocolError):
                     client.submit(t0).result()
                 client.end_stream()
+
+    def test_oversized_frame_refused_before_its_payload(self):
+        """A header announcing 2 GiB gets an error frame and a closed
+        connection without a byte of payload sent; another client's
+        replay stays bit-identical to the offline run.  The socket
+        timeout turns a server that waits for the payload into a failure
+        instead of a hang."""
+        scenario = cluster_scenario(total_time=20_000.0)
+        tasks = scenario.stream_scenario().generate_tasks()
+        with BackgroundServer(make_backend(scenario, "EDF-DLT")) as bg:
+            with socket.create_connection(bg.address, timeout=10.0) as raw:
+                raw.sendall(struct.pack(">BI", ord("J"), 2 * 1024**3))
+                with raw.makefile("rb") as stream:
+                    reply = read_frame(stream)
+                    assert reply["ok"] is False
+                    assert reply["error_type"] == "ServiceProtocolError"
+                    assert "cap" in reply["error"]
+                    assert read_frame(stream) is None  # server hung up
+            with AdmissionClient(*bg.address) as client:
+                decisions = replay_tasks(client, tasks, window=32)
+                payload = client.finalize()
+        offline = simulate(scenario.member_scenario(0), "EDF-DLT").output
+        assert len(decisions) == len(tasks)
+        assert loopback_diff(payload, offline) == []
 
     def test_malformed_task_reported_before_dispatch(self):
         scenario = cluster_scenario(total_time=5_000.0)

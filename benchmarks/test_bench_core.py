@@ -1,30 +1,30 @@
-"""Benchmark — the optimized admission engines against the reference walk.
+"""Benchmark — the optimized admission engine against the reference walk.
 
 Both workloads are measured with the capture-and-replay harness from
 ``conftest.py``: a reference-engine simulation records its real
 ``try_admit``/probe call stream (task, frozen waiting queue, a copy of
 the committed reservation state, clock), then the *same* stream replays
-through each of the three engines with fresh test instances.  Timing the
-replay isolates the engine from the constant event-loop overhead that a
+through both engines with fresh test instances.  Timing the replay
+isolates the engine from the constant event-loop overhead that a
 full-simulation wall clock adds equally to every engine, and the replay
-outcomes double as the identity check — all engines must produce the
+outcomes double as the identity check — both engines must produce the
 same decision stream.
 
 * **Core admission** — the paper's 16-node cluster with loose deadlines
   at three load points (the admission-throughput panel).  The gate sits
   at the heaviest point, where each arrival re-plans a deep waiting
-  queue: the batch engine must beat the reference by ``≥ 15x``.
+  queue: the fast engine must beat the reference by ``≥ 15x``.
 * **Fleet probing** — a 4-cluster, 16-nodes-per-member
   ``cluster_spread=0.8`` fleet under the probing ``earliest-finish``
   router (one full placement per member per arrival) plus the
   ``round-robin`` and ``least-loaded`` baselines.  Earliest-finish must
-  gain ``≥ 5x`` — this is where the batch engine's ``probe_completion``
-  member kernel earns its keep.
+  gain ``≥ 5x`` — this is where the memo's probe→submit reuse earns its
+  keep.
 
 Emits ``BENCH_core.json`` at the repo root — the baseline for the CI
 perf regression gate (``scripts/check_perf.py``, see
 ``docs/performance.md``).  The gated quantities are the *speedups*
-(batch and fast over reference on the same machine and call stream),
+(fast over reference on the same machine and call stream),
 which transfer across machines; absolute decisions/sec ride along for
 context.
 
@@ -68,19 +68,19 @@ FLEET_EF_SPEEDUP_MIN = float(
     os.environ.get("REPRO_BENCH_FLEET_MIN_SPEEDUP", "5.0")
 )
 #: Instrumentation-disabled floor: with a registry attached but no
-#: tracer (the production default), the batch engine must keep at least
+#: tracer (the production default), the fast engine must keep at least
 #: this fraction of its uninstrumented decisions/sec (repro.obs promises
 #: near-zero disabled cost).  Tracer-on overhead is recorded ungated.
 TRACING_DISABLED_RATIO_MIN = float(
     os.environ.get("REPRO_BENCH_TRACING_DISABLED_MIN", "0.95")
 )
 #: Deep-queue checkpoint gate: on the FIFO-ordered overload stream the
-#: batch engine with prefix checkpoints must beat its own
-#: checkpoint-ablated replay (the PR 7 engine) by at least this factor.
+#: fast engine with prefix checkpoints must beat its own
+#: checkpoint-ablated replay by at least this factor.
 CKPT_SPEEDUP_MIN = float(os.environ.get("REPRO_BENCH_CKPT_MIN_SPEEDUP", "2.0"))
 
 #: All selectable engines; "reference" is the timing baseline.
-ENGINES = ("reference", "fast", "batch")
+ENGINES = ("reference", "fast")
 
 #: The admission-throughput panel's load points; the gate sits at the
 #: heaviest one, where the waiting queue runs deepest.
@@ -169,7 +169,7 @@ def _engine_sections(scenario, calls, *, fleet: bool, report, bench: str):
 
 @pytest.mark.benchmark(group="core-admission")
 def test_bench_core_admission(benchmark, engine_report):
-    """Admission-heavy single cluster, three load points, three engines."""
+    """Admission-heavy single cluster, three load points, both engines."""
 
     def run():
         panel = {}
@@ -209,8 +209,6 @@ def test_bench_core_admission(benchmark, engine_report):
     RESULTS["core"] = {
         "seconds_reference": engine_seconds("reference"),
         "seconds_fast": engine_seconds("fast"),
-        "seconds_batch": engine_seconds("batch"),
-        "speedup": engine_seconds("reference") / engine_seconds("batch"),
         "speedup_fast": engine_seconds("reference") / engine_seconds("fast"),
         "calls": gated["calls"],
         "arrivals": gated["arrivals"],
@@ -222,8 +220,8 @@ def test_bench_core_admission(benchmark, engine_report):
         },
     }
     RESULTS["throughput_panel"] = {f"{load:g}": panel[load] for load in PANEL_LOADS}
-    assert RESULTS["core"]["speedup"] >= CORE_SPEEDUP_MIN, (
-        f"batch admission engine only {RESULTS['core']['speedup']:.2f}x over "
+    assert RESULTS["core"]["speedup_fast"] >= CORE_SPEEDUP_MIN, (
+        f"fast admission engine only {RESULTS['core']['speedup_fast']:.2f}x over "
         f"reference (need >= {CORE_SPEEDUP_MIN}x)"
     )
 
@@ -231,7 +229,7 @@ def test_bench_core_admission(benchmark, engine_report):
 @pytest.mark.benchmark(group="core-fleet")
 @pytest.mark.parametrize("policy", ["round-robin", "least-loaded", "earliest-finish"])
 def test_bench_fleet_probe_throughput(benchmark, engine_report, policy):
-    """Fleet probing: per-policy replay across the three engines."""
+    """Fleet probing: per-policy replay through both engines."""
     scenario = probe_heavy_fleet().with_policy(policy)
 
     def run():
@@ -250,8 +248,6 @@ def test_bench_fleet_probe_throughput(benchmark, engine_report, policy):
     RESULTS.setdefault("fleet", {})[policy] = {
         "seconds_reference": seconds["reference"],
         "seconds_fast": seconds["fast"],
-        "seconds_batch": seconds["batch"],
-        "speedup": seconds["reference"] / seconds["batch"],
         "speedup_fast": seconds["reference"] / seconds["fast"],
         "calls": len(calls),
         "routed_tasks": routed,
@@ -283,47 +279,41 @@ def deep_queue_scenario() -> Scenario:
 def test_bench_deep_queue_checkpoint(benchmark, engine_report):
     """Prefix checkpointing on a ~120-deep FIFO queue, on vs ablated.
 
-    One captured FIFO-DLT call stream replays through the fast and batch
-    engines twice each — checkpoints on and checkpoints off — with all
-    four outcome streams asserted identical (the ablation axis of the
-    bit-identity contract).  The gate: batch-with-checkpoints must beat
-    batch-ablated by ``CKPT_SPEEDUP_MIN``.
+    One captured FIFO-DLT call stream replays through the fast engine
+    twice — checkpoints on and checkpoints off — with both outcome
+    streams asserted identical (the ablation axis of the bit-identity
+    contract).  The gate: fast-with-checkpoints must beat fast-ablated
+    by ``CKPT_SPEEDUP_MIN``.
     """
     scenario = deep_queue_scenario()
 
     def run():
         calls, output = capture_cluster_calls(scenario, "FIFO-DLT")
-        timings = {}
-        baseline_outcomes = None
-        for engine in ("fast", "batch"):
-            for ckpt in (True, False):
-                seconds, outcomes = replay_calls(
-                    scenario,
-                    "FIFO-DLT",
-                    engine,
-                    calls,
-                    reps=replay_reps(),
-                    checkpoint=ckpt,
-                )
-                if baseline_outcomes is None:
-                    baseline_outcomes = outcomes
-                else:
-                    assert outcomes == baseline_outcomes, (
-                        f"{engine} checkpoint={ckpt}: replayed decisions "
-                        "differ across the checkpoint ablation"
-                    )
-                timings[(engine, ckpt)] = seconds
+        timings, outcomes = {}, {}
+        for ckpt in (True, False):
+            timings[ckpt], outcomes[ckpt] = replay_calls(
+                scenario,
+                "FIFO-DLT",
+                "fast",
+                calls,
+                reps=replay_reps(),
+                checkpoint=ckpt,
+            )
+        assert outcomes[True] == outcomes[False], (
+            "replayed decisions differ across the checkpoint ablation"
+        )
         return calls, output, timings
 
     calls, output, timings = benchmark.pedantic(run, rounds=1, iterations=1)
-    for (engine, ckpt), seconds in timings.items():
+    for ckpt, seconds in timings.items():
         engine_report(
             f"deep-queue ckpt={'on' if ckpt else 'off'}",
-            engine,
+            "fast",
             seconds,
             len(calls),
         )
     stats = output.stats
+    speedup = timings[False] / timings[True]
     RESULTS["deep_queue"] = {
         "algorithm": "FIFO-DLT",
         "load": GATED_LOAD,
@@ -333,30 +323,24 @@ def test_bench_deep_queue_checkpoint(benchmark, engine_report):
         "replanned_tasks": stats.replanned_tasks,
         "reject_ratio": stats.reject_ratio,
         "engines": {
-            engine: {
-                "seconds_checkpoint": timings[(engine, True)],
-                "seconds_ablated": timings[(engine, False)],
-                "checkpoint_speedup": (
-                    timings[(engine, False)] / timings[(engine, True)]
-                ),
-                "decisions_per_sec": len(calls) / timings[(engine, True)],
-                "decisions_per_sec_ablated": (
-                    len(calls) / timings[(engine, False)]
-                ),
+            "fast": {
+                "seconds_checkpoint": timings[True],
+                "seconds_ablated": timings[False],
+                "checkpoint_speedup": speedup,
+                "decisions_per_sec": len(calls) / timings[True],
+                "decisions_per_sec_ablated": len(calls) / timings[False],
             }
-            for engine in ("fast", "batch")
         },
     }
-    speedup = RESULTS["deep_queue"]["engines"]["batch"]["checkpoint_speedup"]
     assert speedup >= CKPT_SPEEDUP_MIN, (
-        f"prefix checkpoints only {speedup:.2f}x over the ablated batch "
+        f"prefix checkpoints only {speedup:.2f}x over the ablated fast "
         f"engine on the deep-queue stream (need >= {CKPT_SPEEDUP_MIN}x)"
     )
 
 
 @pytest.mark.benchmark(group="core-observability")
 def test_bench_tracing_overhead(benchmark, engine_report):
-    """Cost of repro.obs on the batch engine's hot path, same call stream.
+    """Cost of repro.obs on the fast engine's hot path, same call stream.
 
     Three replays of the identical captured stream: uninstrumented
     (``obs=None`` — no registry, no tracer), registry-attached (the
@@ -384,12 +368,12 @@ def test_bench_tracing_overhead(benchmark, engine_report):
         rounds: list[tuple[float, float, float]] = []
         for _ in range(reps):
             p, plain_out = replay_calls(
-                scenario, "EDF-DLT", "batch", calls, reps=1
+                scenario, "EDF-DLT", "fast", calls, reps=1
             )
             r, registry_out = replay_calls(
                 scenario,
                 "EDF-DLT",
-                "batch",
+                "fast",
                 calls,
                 reps=1,
                 obs=Observability(),
@@ -397,7 +381,7 @@ def test_bench_tracing_overhead(benchmark, engine_report):
             t, tracing_out = replay_calls(
                 scenario,
                 "EDF-DLT",
-                "batch",
+                "fast",
                 calls,
                 reps=1,
                 obs=Observability(trace=True),
@@ -413,11 +397,11 @@ def test_bench_tracing_overhead(benchmark, engine_report):
     plain_s = min(p for p, _r, _t in rounds)
     registry_s = min(r for _p, r, _t in rounds)
     tracing_s = min(t for _p, _r, t in rounds)
-    engine_report("tracing plain", "batch", plain_s, len(calls))
-    engine_report("tracing registry", "batch", registry_s, len(calls))
-    engine_report("tracing tracer-on", "batch", tracing_s, len(calls))
+    engine_report("tracing plain", "fast", plain_s, len(calls))
+    engine_report("tracing registry", "fast", registry_s, len(calls))
+    engine_report("tracing tracer-on", "fast", tracing_s, len(calls))
     RESULTS["tracing_overhead"] = {
-        "engine": "batch",
+        "engine": "fast",
         "calls": len(calls),
         "seconds_plain": plain_s,
         "seconds_registry": registry_s,
@@ -436,7 +420,7 @@ def test_bench_tracing_overhead(benchmark, engine_report):
     assert RESULTS["tracing_overhead"]["disabled_ratio"] >= (
         TRACING_DISABLED_RATIO_MIN
     ), (
-        f"registry-attached batch engine keeps only "
+        f"registry-attached fast engine keeps only "
         f"{RESULTS['tracing_overhead']['disabled_ratio']:.3f} of its "
         f"uninstrumented throughput (need >= {TRACING_DISABLED_RATIO_MIN})"
     )
@@ -448,8 +432,8 @@ def test_emit_perf_record():
         pytest.skip("benchmark sections did not all run")
 
     ef = RESULTS["fleet"]["earliest-finish"]
-    assert ef["speedup"] >= FLEET_EF_SPEEDUP_MIN, (
-        f"earliest-finish fleet only {ef['speedup']:.2f}x over reference "
+    assert ef["speedup_fast"] >= FLEET_EF_SPEEDUP_MIN, (
+        f"earliest-finish fleet only {ef['speedup_fast']:.2f}x over reference "
         f"(need >= {FLEET_EF_SPEEDUP_MIN}x)"
     )
 

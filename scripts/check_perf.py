@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Perf regression gate: a fresh BENCH_core.json vs the committed baseline.
 
-Compares the *speedup* metrics (batch and fast admission engines over the
+Compares the *speedup* metrics (the fast admission engine over the
 reference engine, replaying the same captured call stream on the same
 machine) of a freshly generated ``BENCH_core.json`` against the committed
 record, and — when ``--serve-baseline``/``--serve-fresh`` are given — the
@@ -9,7 +9,7 @@ admission service's concurrency-retention ratios of ``BENCH_serve.json``.
 Speedups are relative throughputs, so they transfer across machines where
 absolute decisions/sec do not; the gate fails when a fresh speedup drops
 more than ``--tolerance`` (default 30%) below the committed value.  The
-fresh record's admission-throughput panel (three load points x three
+fresh record's admission-throughput panel (three load points x two
 engines) is also shape-checked.  Rationale, tolerance choice and escape
 hatches are documented in ``docs/performance.md``.
 
@@ -31,12 +31,7 @@ from pathlib import Path
 
 #: (human label, path into the record) of each gated ratio metric.
 GATED_METRICS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("core admission speedup (batch)", ("core", "speedup")),
     ("core admission speedup (fast)", ("core", "speedup_fast")),
-    (
-        "earliest-finish fleet speedup (batch)",
-        ("fleet", "earliest-finish", "speedup"),
-    ),
     (
         "earliest-finish fleet speedup (fast)",
         ("fleet", "earliest-finish", "speedup_fast"),
@@ -53,9 +48,9 @@ TRACING_DISABLED_RATIO_MIN = 0.95
 #: The admission-throughput panel's expected axes (shape check only —
 #: absolute decisions/sec are machine-specific, so they are not gated).
 PANEL_LOADS = ("3", "6", "10")
-PANEL_ENGINES = ("reference", "fast", "batch")
+PANEL_ENGINES = ("reference", "fast")
 
-#: Absolute floor on the deep-queue checkpoint speedup (batch engine with
+#: Absolute floor on the deep-queue checkpoint speedup (fast engine with
 #: prefix checkpoints vs its own checkpoint-ablated replay of the same
 #: stream).  A same-run ratio on identical hardware, so it is gated
 #: absolutely; matches the benchmark's REPRO_BENCH_CKPT_MIN_SPEEDUP
@@ -63,7 +58,7 @@ PANEL_ENGINES = ("reference", "fast", "batch")
 CKPT_SPEEDUP_MIN = 2.0
 
 #: Engines the deep-queue panel must report (checkpoint on and ablated).
-DEEP_QUEUE_ENGINES = ("fast", "batch")
+DEEP_QUEUE_ENGINES = ("fast",)
 
 #: Gated ratio metrics of BENCH_serve.json (``--serve-baseline``): the
 #: service's concurrency retention — throughput at N clients relative to
@@ -118,7 +113,7 @@ def compare(
 def check_panel(fresh: dict) -> list[str]:
     """Shape-check the fresh record's admission-throughput panel.
 
-    Every load point must carry all three engines with positive
+    Every load point must carry both engines with positive
     decisions/sec and a reject ratio in [0, 1]; anything else means the
     benchmark emitted a malformed record and the gate must not pass it.
     """
@@ -152,8 +147,8 @@ def check_panel(fresh: dict) -> list[str]:
 def check_deep_queue(fresh: dict) -> list[str]:
     """Shape-check and gate the fresh record's deep-queue panel.
 
-    Both optimized engines must report positive throughput for the
-    checkpointed and the ablated replay, and the batch engine's
+    The fast engine must report positive throughput for the
+    checkpointed and the ablated replay, and its
     ``checkpoint_speedup`` must clear :data:`CKPT_SPEEDUP_MIN` — the
     panel exists to prove prefix checkpoints pay off on a deep FIFO
     queue, so a record without it (or below the floor) fails.
@@ -176,21 +171,19 @@ def check_deep_queue(fresh: dict) -> list[str]:
                     f"non-positive decisions/sec ({rate})"
                 )
     try:
-        speedup = float(engines["batch"]["checkpoint_speedup"])
+        speedup = float(engines["fast"]["checkpoint_speedup"])
     except (KeyError, TypeError, ValueError):
-        return problems + ["deep_queue/batch: missing checkpoint_speedup"]
+        return problems + ["deep_queue/fast: missing checkpoint_speedup"]
     if speedup < CKPT_SPEEDUP_MIN:
         problems.append(
-            f"deep-queue checkpoint speedup (batch): {speedup:.2f}x below "
+            f"deep-queue checkpoint speedup (fast): {speedup:.2f}x below "
             f"the {CKPT_SPEEDUP_MIN} floor — prefix checkpoints must pay "
             "off on a deep FIFO queue"
         )
     elif not problems:
-        fast = engines.get("fast", {}).get("checkpoint_speedup")
-        note = f", fast {float(fast):.2f}x (ungated)" if fast else ""
         print(
-            f"deep-queue checkpoint speedup: batch {speedup:.2f}x >= "
-            f"{CKPT_SPEEDUP_MIN}{note} — ok"
+            f"deep-queue checkpoint speedup: fast {speedup:.2f}x >= "
+            f"{CKPT_SPEEDUP_MIN} — ok"
         )
     return problems
 

@@ -644,9 +644,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engines",
         nargs="+",
         choices=ADMISSION_ENGINES,
-        default=("fast", "batch"),
+        default=("fast",),
         metavar="ENGINE",
-        help="engines to replay (default: fast batch; all engines' "
+        help="engines to replay (default: fast; with several, their "
         "decision streams are asserted identical)",
     )
     p_pr.add_argument(
@@ -1267,7 +1267,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     scenario = _serve_fleet_scenario(args)
     backend = make_backend(scenario, args.algorithm, **_serve_backend_kwargs(args))
 
-    async def _main() -> None:
+    async def _main() -> Exception | None:
         server = AdmissionServer(
             backend,
             host=args.host,
@@ -1282,11 +1282,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             m_host, m_port = server.metrics_address
             print(f"metrics on http://{m_host}:{m_port}/metrics", flush=True)
         await server.wait_closed()
+        return server.failure
 
+    failure = None
     try:
-        asyncio.run(_main())
+        failure = asyncio.run(_main())
     except KeyboardInterrupt:  # pragma: no cover - interactive only
         pass
+    if failure is not None:
+        print(
+            f"backend failed: {type(failure).__name__}: {failure}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

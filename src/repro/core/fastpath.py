@@ -112,11 +112,10 @@ __all__ = [
     "validate_admission_engine",
 ]
 
-#: Valid admission-engine names: ``"fast"`` (this module, the default),
-#: ``"batch"`` (:mod:`repro.core.batchpath`, the vectorized engine) and
-#: ``"reference"`` (the original :class:`SchedulabilityTest`).  All three
+#: Valid admission-engine names: ``"fast"`` (this module, the default) and
+#: ``"reference"`` (the original :class:`SchedulabilityTest`).  Both
 #: produce bit-identical decision streams.
-ADMISSION_ENGINES: tuple[str, ...] = ("fast", "batch", "reference")
+ADMISSION_ENGINES: tuple[str, ...] = ("fast", "reference")
 
 #: The admission engine every entry point uses unless told otherwise
 #: (simulation, fleet, experiments, the serve backends and the CLI).
@@ -151,26 +150,19 @@ def make_admission_test(
     """Build the admission test for a scheduler.
 
     ``engine="fast"`` (default) returns the optimized engine of this
-    module; ``engine="batch"`` the batch-vectorized engine of
-    :mod:`repro.core.batchpath`; ``engine="reference"`` the original
-    walk.  All three produce bit-identical decisions — the choice only
-    trades speed against simplicity.  ``obs`` (an
-    :class:`repro.obs.Observability`) wires the optimized engines'
-    plan-cache counters and admission spans onto the caller's registry
-    and tracer; the reference engine carries no instrumentation (it is
-    the untouched ground truth) and ignores it.  ``checkpoint=False``
-    disables the optimized engines' prefix-checkpoint store (the
-    benchmark ablation axis); decisions are identical either way.
+    module; ``engine="reference"`` the original walk.  Both produce
+    bit-identical decisions — the choice only trades speed against
+    simplicity.  ``obs`` (an :class:`repro.obs.Observability`) wires the
+    fast engine's plan-cache counters and admission spans onto the
+    caller's registry and tracer; the reference engine carries no
+    instrumentation (it is the untouched ground truth) and ignores it.
+    ``checkpoint=False`` disables the fast engine's prefix-checkpoint
+    store (the benchmark ablation axis); decisions are identical either
+    way.
     """
     validate_admission_engine(engine)
     if engine == "reference":
         return SchedulabilityTest(policy, partitioner, cluster)
-    if engine == "batch":
-        from repro.core.batchpath import BatchSchedulabilityTest
-
-        return BatchSchedulabilityTest(
-            policy, partitioner, cluster, obs=obs, checkpoint=checkpoint
-        )
     return FastSchedulabilityTest(
         policy, partitioner, cluster, obs=obs, checkpoint=checkpoint
     )
@@ -338,31 +330,28 @@ _BOUND_EPS = 1e-9
 
 
 class _NodeBoundTable:
-    """``ñ_min`` / ``n_min`` classification via precomputed ``g`` thresholds.
+    """Guard-banded ``ñ_min`` / ``n_min`` thresholds on ``g``.
 
     The paper bound (Eq. 14 / [22]) is ``n_req = ceil(v - rtol)`` with
     ``v = log(g)/log(beta)`` clamped to ``[1, N]`` (``None`` beyond ``N``).
     Since ``log(beta) < 0`` and ``g`` enters monotonically, ``n_req <= m``
-    exactly when ``g >= B[m] = exp((m + rtol) * log(beta))``; the table
-    stores ``B[N..1]`` ascending so one :func:`bisect.bisect_right`
-    yields how many thresholds a ``g`` clears — and hence its ``n_req``
-    — using only float comparisons, no logs.  ``g`` values inside a
-    guard band (``lo``/``hi``) are the cases libm error could in
-    principle decide; the engines resolve those with the exact scalar
-    formula instead.  The batch engine classifies whole queues with it;
-    both optimized engines also use it to certify that a checkpointed
-    position's node-count token is unchanged at a new test time.
+    exactly when ``g >= B[m] = exp((m + rtol) * log(beta))``.  The table
+    stores ``B[N..1]`` ascending, widened by a guard band (``lo``/``hi``)
+    that covers the cases libm error could in principle decide.  The
+    checkpoint restore uses it to certify, with float comparisons only,
+    that a stored position's node-count token is unchanged at a new test
+    time; any ``g`` inside a band falls back to the exact scalar bound.
     """
 
-    __slots__ = ("asc", "lo", "hi", "n")
+    __slots__ = ("lo", "hi", "n")
 
     def __init__(self, n: int, log_b: float) -> None:
-        self.asc = [
+        asc = [
             math.exp((m + dlt.FEASIBILITY_RTOL) * log_b)
             for m in range(n, 0, -1)
         ]
-        self.lo = [v * (1.0 + _BOUND_EPS) for v in self.asc]
-        self.hi = [v * (1.0 - _BOUND_EPS) for v in self.asc]
+        self.lo = [v * (1.0 + _BOUND_EPS) for v in asc]
+        self.hi = [v * (1.0 - _BOUND_EPS) for v in asc]
         self.n = n
 
 
@@ -516,8 +505,8 @@ class FastSchedulabilityTest:
             self._delegate = SchedulabilityTest(policy, partitioner, cluster)
         self._place = place
 
-        #: Guard-banded node-count threshold table (shared with the batch
-        #: engine, and the checkpoint token revalidation of both engines).
+        #: Guard-banded node-count threshold table (checkpoint token
+        #: revalidation).
         self._bound_table = _NodeBoundTable(self._n, self._log_b_worst)
         # -- prefix checkpoint state (see _ckpt_restore) -------------------
         #: Whether the prefix-checkpoint store is active.  Off when the
@@ -528,7 +517,7 @@ class FastSchedulabilityTest:
             bool(checkpoint) and self._memo_enabled and self._delegate is None
         )
         #: Per-position ``(task, entry, node_ids, completion)`` of the last
-        #: walk, in policy order; also the batch walk's entry list.
+        #: walk, in policy order.
         self._ckpt_items: list[tuple] = []
         #: Task ids matching ``_ckpt_items`` (prefix comparison key).
         self._ckpt_tids: list[int] = []
@@ -1276,8 +1265,7 @@ class FastSchedulabilityTest:
                     return kept
         ordered = self.policy.order([*waiting, new_task])
         # The keys are a total order, so the newcomer's slot is exactly
-        # where bisect says it is (needed by the checkpoint re-seed and
-        # the batch engine's O(1) probe lookup).
+        # where bisect says it is (needed by the checkpoint re-seed).
         self._insert_pos = bisect_right(ordered, key(new_task), key=key) - 1
         self._order_common = -1
         self._order_cache = ordered

@@ -75,9 +75,8 @@ class NodeReservations:
     def epoch(self) -> int:
         """Availability epoch: bumped by every mutation of the hold vector.
 
-        The optimized admission engines
-        (:mod:`repro.core.fastpath` / :mod:`repro.core.batchpath`) key
-        their prefix checkpoints on ``(identity, epoch)``: a checkpoint
+        The fast admission engine (:mod:`repro.core.fastpath`) keys
+        its prefix checkpoints on ``(identity, epoch)``: a checkpoint
         taken against this object at epoch ``e`` is trivially valid while
         the epoch still reads ``e``, because :meth:`assign` (dispatch),
         :meth:`release_early` (eager release / actual completion) and

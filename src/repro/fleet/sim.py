@@ -273,19 +273,7 @@ class FleetSimulation:
 
         def probe(task: DivisibleTask, _sim: ClusterSimulation = sim) -> float | None:
             """What-if admission: the cluster's estimate, or None on reject."""
-            test = _sim.scheduler.test
-            probe_fn = getattr(test, "probe_completion", None)
-            if probe_fn is not None:
-                # The batch engine's member kernel: same walk, but it
-                # returns just the earliest-finish estimate — no decision
-                # or plan objects, which a probe discards anyway.
-                return probe_fn(
-                    task,
-                    list(_sim.scheduler.waiting.values()),
-                    _sim.scheduler.reservations,
-                    now,
-                )
-            decision = test.try_admit(
+            decision = _sim.scheduler.test.try_admit(
                 task,
                 list(_sim.scheduler.waiting.values()),
                 _sim.scheduler.reservations,

@@ -11,7 +11,7 @@ engine with fresh test instances and time only the engine.  Replays
 double as an identity check: every engine must return the same decision
 stream bit for bit.
 
-Per-phase timers ride the engines themselves: the fast/batch kernels
+Per-phase timers ride the engines themselves: the fast engine's kernels
 expose an opt-in ``profile`` attribute (``None`` by default — the hot
 path pays a single ``is not None`` test per walk).  When a
 :class:`PhaseProfile` is attached, ``time.perf_counter`` spans accumulate
@@ -99,20 +99,6 @@ class AdmissionTap:
         )
         return self.inner.try_admit(new_task, waiting, reservations, now)
 
-    def probe_completion(self, new_task, waiting, reservations, now):
-        """Record a probe-phase call (the fleet's member-kernel surface).
-
-        The fleet probe closure feature-detects this method; the
-        reference engine underneath only has ``try_admit``.
-        """
-        self.calls.append(
-            (True, self.member, new_task, tuple(waiting), reservations.copy(), now)
-        )
-        decision = self.inner.try_admit(new_task, waiting, reservations, now)
-        if decision.accepted:
-            return decision.plans[new_task.task_id].est_completion
-        return None
-
 
 def capture_cluster_calls(scenario, algorithm: str):
     """Run one reference simulation, recording the admission call stream.
@@ -141,9 +127,9 @@ def capture_cluster_calls(scenario, algorithm: str):
 def capture_fleet_calls(scenario, algorithm: str):
     """Fleet variant: taps every member test and tags probe-phase calls.
 
-    Probes are distinguished by wrapping ``policy.route`` so the member
-    kernel (``probe_completion``) is exercised on replay exactly where
-    the live fleet uses it.  Returns ``(calls, fleet_output)``.
+    Probes are distinguished by wrapping ``policy.route``: every
+    ``try_admit`` made while the router runs is a what-if probe, and the
+    call record carries that flag.  Returns ``(calls, fleet_output)``.
     """
     from repro.fleet.sim import FleetSimulation
 
@@ -188,7 +174,7 @@ def build_tests(
 ):
     """Fresh engine instances for a replay (one per fleet member).
 
-    ``checkpoint=False`` builds the optimized engines with the
+    ``checkpoint=False`` builds the fast engine with the
     prefix-checkpoint store disabled — the ablation axis of the
     deep-queue benchmark panel (decisions are identical either way).
     """
@@ -234,14 +220,13 @@ def replay_calls(
 ):
     """Replay a captured call stream through ``engine``; best-of-``reps``.
 
-    Probe-tagged calls go through ``probe_completion`` when the engine
-    offers it (the batch member kernel), mirroring the live fleet's
-    feature detection.  Returns ``(best_seconds, outcomes)`` where each
-    outcome is the accepted task's est_completion or ``None`` — the
-    engine-portable projection of the decision, asserted identical
-    across reps (and, by callers, across engines).  ``obs`` builds the
-    tests instrumented, which is how the tracing-overhead benchmark
-    measures the cost of an attached registry or tracer.
+    Probe-tagged calls replay through ``try_admit`` like every other
+    call, as in the live fleet.  Returns ``(best_seconds, outcomes)``
+    where each outcome is the accepted task's est_completion or
+    ``None`` — the engine-portable projection of the decision, asserted
+    identical across reps (and, by callers, across engines).  ``obs``
+    builds the tests instrumented, which is how the tracing-overhead
+    benchmark measures the cost of an attached registry or tracer.
     """
     best = float("inf")
     outcomes = None
@@ -249,20 +234,15 @@ def replay_calls(
         tests = build_tests(
             scenario, algorithm, engine, fleet, obs=obs, checkpoint=checkpoint
         )
-        probes = [getattr(t, "probe_completion", None) for t in tests]
         start = time.perf_counter()
         got = []
-        for is_probe, member, task, waiting, reservations, now in calls:
-            probe = probes[member]
-            if is_probe and probe is not None:
-                got.append(probe(task, waiting, reservations, now))
-            else:
-                decision = tests[member].try_admit(task, waiting, reservations, now)
-                got.append(
-                    decision.plans[task.task_id].est_completion
-                    if decision.accepted
-                    else None
-                )
+        for _probe, member, task, waiting, reservations, now in calls:
+            decision = tests[member].try_admit(task, waiting, reservations, now)
+            got.append(
+                decision.plans[task.task_id].est_completion
+                if decision.accepted
+                else None
+            )
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         if outcomes is None:
@@ -276,7 +256,7 @@ def profile_admission(
     scenario,
     algorithm: str,
     *,
-    engines: tuple[str, ...] = ("fast", "batch"),
+    engines: tuple[str, ...] = ("fast",),
     reps: int = 2,
     fleet: bool = False,
     checkpoint: bool = True,
@@ -289,7 +269,7 @@ def profile_admission(
     (including ``prefix_restore``, the checkpoint replay cost).
     Engines without phase hooks (``reference``) report timing only.
     All engines' outcome streams are asserted identical.
-    ``checkpoint=False`` profiles the optimized engines with the
+    ``checkpoint=False`` profiles the fast engine with the
     prefix-checkpoint store ablated.
     """
     calls, _output = capture_calls(scenario, algorithm, fleet=fleet)
@@ -327,13 +307,8 @@ def profile_admission(
                 test.profile = profile
                 hooked = True
         if hooked:
-            probes = [getattr(t, "probe_completion", None) for t in tests]
-            for is_probe, member, task, waiting, reservations, now in calls:
-                probe = probes[member]
-                if is_probe and probe is not None:
-                    probe(task, waiting, reservations, now)
-                else:
-                    tests[member].try_admit(task, waiting, reservations, now)
+            for _probe, member, task, waiting, reservations, now in calls:
+                tests[member].try_admit(task, waiting, reservations, now)
         report["engines"][engine] = {
             "seconds": seconds,
             "decisions_per_sec": len(calls) / seconds if seconds > 0 else 0.0,

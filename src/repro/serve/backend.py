@@ -32,7 +32,7 @@ probes into a replay perturbs later draws — documented, not defended.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from repro.core.algorithms import make_algorithm
 from repro.core.errors import InvalidParameterError, ReproError
@@ -83,6 +83,31 @@ def _decision_fields(sim: ClusterSimulation, task_id: int) -> dict[str, Any]:
         if plan is not None:
             est = plan.est_completion
     return {"accepted": accepted, "est_completion": est}
+
+
+def _submit_each(
+    submit: Callable[[DivisibleTask], dict[str, Any]],
+    tasks: list[DivisibleTask],
+) -> list[dict[str, Any] | Exception]:
+    """Apply ``submit`` to each task in order, collecting per-slot results.
+
+    A :class:`ReproError` becomes that slot's value, exactly as serial
+    dispatch reported it per request, so one bad task cannot void its
+    batchmates' decisions.  Any other exception means the backend itself
+    failed: it becomes the last slot and the pass stops there, so the
+    list is shorter than ``tasks`` by the slots never applied.  Slots
+    before it hold real, already-applied decisions.
+    """
+    results: list[dict[str, Any] | Exception] = []
+    for task in tasks:
+        try:
+            results.append(submit(task))
+        except ReproError as exc:
+            results.append(exc)
+        except Exception as exc:
+            results.append(exc)
+            break
+    return results
 
 
 class ClusterBackend:
@@ -149,23 +174,14 @@ class ClusterBackend:
 
     def submit_many(
         self, tasks: list[DivisibleTask]
-    ) -> list[dict[str, Any] | ReproError]:
+    ) -> list[dict[str, Any] | Exception]:
         """Admit a coalesced run of merged arrivals in one backend pass.
 
         Semantically identical to calling :meth:`submit` once per task in
         order — same per-task submit-then-advance step, same decisions.
-        A per-task :class:`ReproError` becomes that slot's return value,
-        exactly as serial dispatch reported it per request, so one bad
-        task cannot void its batchmates' decisions.
+        See :func:`_submit_each` for how errors fill the slots.
         """
-        results: list[dict[str, Any] | ReproError] = []
-        submit = self.submit
-        for task in tasks:
-            try:
-                results.append(submit(task))
-            except ReproError as exc:
-                results.append(exc)
-        return results
+        return _submit_each(self.submit, tasks)
 
     def probe(self, task: DivisibleTask) -> dict[str, Any]:
         """Advisory what-if admission (no commitment, no clock advance)."""
@@ -248,20 +264,13 @@ class FleetBackend:
 
     def submit_many(
         self, tasks: list[DivisibleTask]
-    ) -> list[dict[str, Any] | ReproError]:
+    ) -> list[dict[str, Any] | Exception]:
         """Admit a coalesced run of merged arrivals in one backend pass.
 
         Same contract as :meth:`ClusterBackend.submit_many`: per-task
-        route-and-admit in merged order, per-task errors in-slot.
+        route-and-admit in merged order, errors in-slot.
         """
-        results: list[dict[str, Any] | ReproError] = []
-        submit = self.submit
-        for task in tasks:
-            try:
-                results.append(submit(task))
-            except ReproError as exc:
-                results.append(exc)
-        return results
+        return _submit_each(self.submit, tasks)
 
     def probe(self, task: DivisibleTask) -> dict[str, Any]:
         """Advisory what-if admission against every member.

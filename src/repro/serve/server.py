@@ -75,6 +75,16 @@ _HEADER_SIZE = 5  # codec byte + 4-byte length
 _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 
 
+def _error_frame(seq: Any, exc: Exception) -> dict[str, Any]:
+    """The response to a request that failed with ``exc``."""
+    return {
+        "seq": seq,
+        "ok": False,
+        "error": str(exc),
+        "error_type": type(exc).__name__,
+    }
+
+
 class _Connection:
     """Per-connection state: FIFO request queue, codec, stream flag."""
 
@@ -157,6 +167,8 @@ class AdmissionServer:
         self._server: asyncio.base_events.Server | None = None
         self._metrics_server: asyncio.base_events.Server | None = None
         self._dispatcher: asyncio.Task | None = None
+        #: The backend exception that stopped the server, if any.
+        self.failure: Exception | None = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -419,20 +431,41 @@ class AdmissionServer:
         for (conn, request), result in zip(batch, results):
             seq = request.get("seq")
             self._finish_request("submit", started)
-            if isinstance(result, ReproError):
-                message: dict[str, Any] = {
-                    "seq": seq,
-                    "ok": False,
-                    "error": str(result),
-                    "error_type": type(result).__name__,
-                }
+            if isinstance(result, Exception):
+                message = _error_frame(seq, result)
             else:
                 message = {"seq": seq, "ok": True, **result}
             self._write(conn, message)
             if conn not in pending:
                 pending.append(conn)
+        failure = results[-1]
+        if isinstance(failure, Exception) and not isinstance(failure, ReproError):
+            self._fail_stop(failure, batch[len(results):])
+            pending = list(self._conns)
         for conn in pending:
             await self._flush(conn)
+
+    def _fail_stop(
+        self,
+        exc: Exception,
+        unanswered: list[tuple[_Connection, dict[str, Any]]],
+    ) -> None:
+        """Answer everything still pending with ``exc``, then stop.
+
+        The backend raised something other than a :class:`ReproError`, so
+        its state can no longer be trusted.  The popped but unapplied
+        rest of the batch and every request still queued on any
+        connection get an error frame naming the exception's class, and
+        the server shuts down; :attr:`failure` keeps the exception.
+        """
+        self.failure = exc
+        for conn, request in unanswered:
+            self._write(conn, _error_frame(request.get("seq"), exc))
+        for conn in self._conns:
+            while conn.queue:
+                request = conn.queue.popleft()
+                self._write(conn, _error_frame(request.get("seq"), exc))
+        self.request_stop()
 
     async def _handle_control(
         self, conn: _Connection, request: dict[str, Any]
@@ -521,15 +554,7 @@ class AdmissionServer:
         self, conn: _Connection, seq: Any, exc: Exception
     ) -> None:
         """Report a failed request without dropping the connection."""
-        await self._send(
-            conn,
-            {
-                "seq": seq,
-                "ok": False,
-                "error": str(exc),
-                "error_type": type(exc).__name__,
-            },
-        )
+        await self._send(conn, _error_frame(seq, exc))
 
     # -- metrics endpoint ---------------------------------------------------
     async def _handle_metrics_http(

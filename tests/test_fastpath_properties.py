@@ -1,18 +1,16 @@
-"""Property suite: the optimized admission engines are bit-identical to
+"""Property suite: the optimized admission engine is bit-identical to
 the reference.
 
-The contract of :mod:`repro.core.fastpath` *and*
-:mod:`repro.core.batchpath` is *exact* equality — not "close", not "same
-decisions": every :class:`AdmissionDecision`, every committed
+The contract of :mod:`repro.core.fastpath` is *exact* equality — not
+"close", not "same decisions": every :class:`AdmissionDecision`, every committed
 :class:`PlacementPlan` field and every resulting :class:`TaskRecord`
 must match the reference implementation bit for bit.  Hypothesis drives
 the engines over random scenarios spanning all three partitioner
 families, the fixed-point ablation variants, every node order,
 homogeneous and spread clusters, both policies, and the eager-release
 ablation; the fleet layer is covered through the probing
-``earliest-finish`` router (where the batch engine's ``probe_completion``
-kernel and probe→admit reuse must not change a single routing decision
-or record).
+``earliest-finish`` router (where probe→admit memo reuse must not
+change a single routing decision or record).
 """
 
 from __future__ import annotations
@@ -26,7 +24,9 @@ from repro.core import dlt
 from repro.core.admission import SchedulabilityTest
 from repro.core.algorithms import ALGORITHMS, AlgorithmInstance
 from repro.core.cluster import ClusterProfile
+from repro.core.errors import InvalidParameterError
 from repro.core.fastpath import (
+    ADMISSION_ENGINES,
     _alphas,
     _pairwise_sum,
     _SharedPrefixAlphas,
@@ -47,8 +47,8 @@ from repro.workload.scenario import Scenario
 #: Every named algorithm exercises a distinct partitioner configuration.
 ALGORITHM_NAMES = sorted(ALGORITHMS)
 
-#: The optimized engines under test; each is checked against "reference".
-OPTIMIZED_ENGINES = ("fast", "batch")
+#: The optimized engine under test, checked against "reference".
+OPTIMIZED_ENGINES = ("fast",)
 
 scenario_strategy = st.builds(
     Scenario.paper_baseline,
@@ -124,6 +124,19 @@ class TestSingleClusterBitIdentical:
         assert set(ref) == set(opt)
         for tid in ref:
             assert ref[tid] == opt[tid]
+
+
+class TestEngineNames:
+    def test_engine_names(self):
+        assert ADMISSION_ENGINES == ("fast", "reference")
+
+    @pytest.mark.parametrize("engine", ["batch", "vectorized", ""])
+    def test_unknown_engine_refused(self, engine):
+        cluster = ClusterProfile.homogeneous(4, 1.0, 100.0)
+        with pytest.raises(InvalidParameterError, match="unknown admission engine"):
+            make_admission_test(
+                EdfPolicy(), DltIitPartitioner(), cluster, engine=engine
+            )
 
 
 class TestDirectDecisions:
@@ -521,7 +534,6 @@ class TestDepthZeroAdmission:
         policy = FifoPolicy() if fifo else EdfPolicy()
         partitioner = KERNEL_PARTITIONERS[kernel]()
         reference = SchedulabilityTest(policy, partitioner, cluster)
-        batch = make_admission_test(policy, partitioner, cluster, engine="batch")
         fast, fast_obs, twin, twin_obs = self._engines(
             cluster, policy, partitioner
         )
@@ -534,7 +546,7 @@ class TestDepthZeroAdmission:
 
         def ask(task):
             ref = reference.try_admit(task, waiting, reservations, now)
-            for test in (fast, twin, batch):
+            for test in (fast, twin):
                 assert test.try_admit(task, waiting, reservations, now) == ref
             assert engine_state(fast, reservations) == engine_state(
                 twin, reservations
@@ -684,8 +696,7 @@ class TestFleetBitIdentical:
         self, seed, policy, clusters, spread, algorithm, engine
     ):
         """Routing decisions, per-member records and pooled metrics all
-        match — the batch engine's ``probe_completion`` kernel and memo
-        reuse are invisible in outputs."""
+        match — probe→admit memo reuse is invisible in outputs."""
         scenario = FleetScenario.uniform(
             n_clusters=clusters,
             system_load=0.8,

@@ -39,7 +39,7 @@ from repro.obs import (
 from repro.obs.metrics import DEPTH_BUCKETS
 from repro.workload.scenario import Scenario
 
-ENGINES = ("reference", "fast", "batch")
+ENGINES = ("reference", "fast")
 
 
 def scenario(seed: int, *, load: float = 1.2, total_time: float = 30_000.0,
@@ -347,13 +347,13 @@ class TestProfiler:
         report = profile_admission(
             scenario(3, total_time=20_000.0),
             "EDF-DLT",
-            engines=("fast", "batch", "reference"),
+            engines=("fast", "reference"),
         )
         assert report["calls"] > 0
-        for engine in ("fast", "batch", "reference"):
+        for engine in ("fast", "reference"):
             cell = report["engines"][engine]
             assert cell["decisions_per_sec"] > 0
-        # fast/batch kernels expose phase hooks; reference does not
+        # the fast engine exposes phase hooks; reference does not
         assert {row["phase"] for row in report["engines"]["fast"]["phases"]} == {
             "queue_order",
             "kernel_place",

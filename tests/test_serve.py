@@ -160,7 +160,7 @@ class TestProtocol:
 
 
 class TestClusterLoopback:
-    @pytest.mark.parametrize("engine", ["fast", "batch", "reference"])
+    @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_loopback_bit_identical(self, engine):
         scenario = cluster_scenario()
         tasks, decisions, payload = serve_replay(
@@ -183,10 +183,8 @@ class TestClusterLoopback:
     def test_engines_agree_over_the_wire(self):
         scenario = cluster_scenario()
         _, _, fast = serve_replay(scenario, admission_engine="fast")
-        _, _, batch = serve_replay(scenario, admission_engine="batch")
         _, _, reference = serve_replay(scenario, admission_engine="reference")
         assert fast == reference
-        assert batch == reference
 
     def test_loopback_diff_reports_tampering(self):
         scenario = cluster_scenario()
@@ -242,7 +240,7 @@ class TestFaultedLoopback:
     def test_faulted_fleet_loopback_bit_identical(self, policy):
         scenario = faulted_fleet_scenario(policy)
         tasks, decisions, payload = serve_replay(scenario)
-        offline = simulate_fleet(scenario, "EDF-DLT", admission_engine="batch")
+        offline = simulate_fleet(scenario, "EDF-DLT", admission_engine="reference")
         assert loopback_diff(payload, offline) == []
         assert [d["member"] for d in decisions] == list(offline.assignments)
         # the faults actually displaced work, and the counters crossed
@@ -266,7 +264,7 @@ class TestFaultedLoopback:
         scenario = cluster_scenario().with_faults(plan)
         tasks, decisions, payload = serve_replay(scenario)
         offline = simulate(
-            scenario.member_scenario(0), "EDF-DLT", admission_engine="batch"
+            scenario.member_scenario(0), "EDF-DLT", admission_engine="reference"
         )
         assert payload["kind"] == "cluster"
         assert loopback_diff(payload, offline.output) == []
@@ -291,7 +289,7 @@ class TestFaultedLoopback:
         bit-identically to the offline faulted run."""
         scenario = faulted_fleet_scenario("earliest-finish")
         tasks = scenario.stream_scenario().generate_tasks()
-        offline = simulate_fleet(scenario, "EDF-DLT", admission_engine="batch")
+        offline = simulate_fleet(scenario, "EDF-DLT", admission_engine="reference")
         assert offline.metrics.displaced > 0  # the faults bite this stream
 
         backend = make_backend(scenario, "EDF-DLT")
@@ -320,7 +318,7 @@ class TestFaultedLoopback:
 
 
 class TestConcurrentClients:
-    @pytest.mark.parametrize("engine", ["fast", "batch"])
+    @pytest.mark.parametrize("engine", ["fast"])
     def test_two_interleaved_clients_merge_deterministically(self, engine):
         """Satellite: two clients sharding a trace ≡ one serial client,
         regardless of which admission engine serves them."""
@@ -569,6 +567,55 @@ class TestErrorPaths:
         offline = simulate(scenario.member_scenario(0), "EDF-DLT").output
         assert len(decisions) == len(tasks)
         assert loopback_diff(payload, offline) == []
+
+    def test_backend_exception_answers_every_pending_request(self):
+        """A backend that raises a non-ReproError fails stop-first: slots
+        applied before the failure keep their real decisions, the failing
+        slot and every request still queued on any connection get an
+        error frame naming the exception, then the server hangs up."""
+
+        class FailingBackend(ClusterBackend):
+            calls = 0
+
+            def submit(self, task):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("backend failed")
+                return super().submit(task)
+
+        member = cluster_scenario(total_time=50_000.0).member_scenario(0)
+        tasks = member.generate_tasks()[:6]
+        healthy = ClusterBackend(member, "EDF-DLT")
+        expected = [healthy.submit(task) for task in tasks[:2]]
+
+        def submit_frame(seq, task):
+            return encode_frame({"seq": seq, "op": "submit", "task": encode_task(task)})
+
+        with BackgroundServer(FailingBackend(member, "EDF-DLT")) as bg:
+            with socket.create_connection(bg.address, timeout=10.0) as a, \
+                    socket.create_connection(bg.address, timeout=10.0) as b, \
+                    a.makefile("rb") as a_in, b.makefile("rb") as b_in:
+                b.sendall(encode_frame({"seq": 0, "op": "stream_open"}))
+                assert read_frame(b_in)["ok"] is True
+                # b's open stream holds the barrier until its own submit
+                # (the latest arrival) is queued behind a's five.
+                a.sendall(b"".join(submit_frame(i, t) for i, t in enumerate(tasks[:5])))
+                b.sendall(submit_frame(1, tasks[5]))
+                a_replies = [read_frame(a_in) for _ in range(5)]
+                b_reply = read_frame(b_in)
+                assert read_frame(a_in) is None  # server hung up
+                assert read_frame(b_in) is None
+            server = bg._server
+        assert [r["seq"] for r in a_replies] == [0, 1, 2, 3, 4]
+        for reply, want in zip(a_replies[:2], expected):
+            assert reply["ok"] is True
+            assert reply["accepted"] == want["accepted"]
+            assert reply["est_completion"] == want["est_completion"]
+        for reply in [*a_replies[2:], b_reply]:
+            assert reply["ok"] is False
+            assert reply["error_type"] == "RuntimeError"
+        assert b_reply["seq"] == 1
+        assert isinstance(server.failure, RuntimeError)
 
     def test_malformed_task_reported_before_dispatch(self):
         scenario = cluster_scenario(total_time=5_000.0)
